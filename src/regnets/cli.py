@@ -117,7 +117,6 @@ _SCHEMAS = {
         "mollifier_exponent": ("float", False, 0.0),
         "T": ("float", True, None),
         "time_steps": ("int", True, None),
-        "snapshot_times": ("floats", False, ()),
     },
     "free_example": {
         **_GRID_SCHEMA,
@@ -511,7 +510,6 @@ def run(config_path, out_dir=None, workers: int = 1, seed: int | None = None) ->
 
     if seed is None:
         seed = config.get("seed", 0)
-    np.random.default_rng(seed)  # all stochastic probes derive from this seed
     name = config["experiment"]
     out = Path(out_dir) if out_dir else Path(f"results_{name}")
     out.mkdir(parents=True, exist_ok=True)

@@ -28,11 +28,7 @@ from .mollifiers import MollifierSpec, scaled_mollifier
 
 def free_evolve(u0: GridFunction, t: float) -> GridFunction:
     grid = u0.grid
-    xi = 2.0 * np.pi * np.fft.fftfreq(grid.points_per_axis, d=grid.spacing)
-    if grid.dim == 1:
-        xi_sq = xi**2
-    else:
-        xi_sq = xi[:, None] ** 2 + xi[None, :] ** 2
+    xi_sq = sum(xi**2 for xi in np.ix_(*grid.wavenumbers()))
     F = np.fft.fftn(u0.values)
     out = np.fft.ifftn(np.exp(-1j * t * xi_sq) * F)
     return GridFunction(grid, out)

@@ -62,9 +62,14 @@ class SpatialGrid:
             return (x,)
         return np.meshgrid(x, x, indexing="ij")
 
+    @lru_cache(maxsize=64)
     def wavenumbers(self) -> tuple[np.ndarray, ...]:
-        """Angular wavenumbers xi_k = pi k / L along each axis (fft order)."""
+        """Angular wavenumbers xi_k = pi k / L along each axis (fft order).
+
+        Cached per grid; the arrays are shared and read-only.
+        """
         xi = 2.0 * np.pi * np.fft.fftfreq(self.points_per_axis, d=self.spacing)
+        xi.setflags(write=False)
         return (xi,) * self.dim
 
     def require_resolves(self, scale: float, factor: float = 8.0):
@@ -134,20 +139,20 @@ class GridFunction:
         Diagnostic for the periodic-box truncation: inputs should satisfy
         boundary_decay() < 1e-10 for the box to stand in for R^n.
         """
-        v = np.abs(self.values)
-        peak = v.max()
+        peak = np.abs(self.values).max()
         if peak == 0.0:
             return 0.0
-        if self.grid.dim == 1:
-            edge = max(v[0], v[-1])
-        else:
-            edge = max(v[0, :].max(), v[-1, :].max(), v[:, 0].max(), v[:, -1].max())
-        return float(edge / peak)
+        return float(_edge_max(self.values) / peak)
 
 
 def _check_same_grid(u, v):
     if u.grid != v.grid:
         raise GridError("operands live on different grids")
+
+
+def _edge_max(values: np.ndarray):
+    """Max |value| over the outermost grid layer (first and last node of every axis)."""
+    return max(np.abs(np.take(values, [0, -1], axis=k)).max() for k in range(values.ndim))
 
 
 @dataclass(frozen=True)
@@ -169,17 +174,7 @@ class TestFunction:
         v = self.gridfunc.values
         if np.max(np.abs(v.imag)) > 0:
             raise GridError("test function must be real-valued")
-        g = self.gridfunc.grid
-        if g.dim == 1:
-            edge = max(abs(v[0]), abs(v[-1]))
-        else:
-            edge = max(
-                np.abs(v[0, :]).max(),
-                np.abs(v[-1, :]).max(),
-                np.abs(v[:, 0]).max(),
-                np.abs(v[:, -1]).max(),
-            )
-        if edge != 0.0:
+        if _edge_max(v) != 0.0:
             raise GridError("test function must vanish on the outermost grid layer")
 
     @property
@@ -275,15 +270,11 @@ def norm_linf(u: GridFunction) -> float:
 
 
 @lru_cache(maxsize=64)
-def _sobolev_weights(dim: int, points: int, spacing: float, k: int):
+def _sobolev_weights(grid: SpatialGrid, k: int):
     """Sum over multi-indices |alpha| <= k of prod xi_i^(2 alpha_i)."""
-    xi = 2.0 * np.pi * np.fft.fftfreq(points, d=spacing)
-    if dim == 1:
-        axes = (xi,)
-    else:
-        axes = np.meshgrid(xi, xi, indexing="ij")
-    w = np.zeros((points,) * dim)
-    for alpha in product(range(k + 1), repeat=dim):
+    axes = np.meshgrid(*grid.wavenumbers(), indexing="ij")
+    w = np.zeros(grid.shape)
+    for alpha in product(range(k + 1), repeat=grid.dim):
         if sum(alpha) > k:
             continue
         term = np.ones_like(w)
@@ -303,7 +294,7 @@ def norm_hk(u: GridFunction, k: int) -> float:
         return norm_l2(u)
     g = u.grid
     F = np.fft.fftn(u.values)
-    w = _sobolev_weights(g.dim, g.points_per_axis, g.spacing, k)
+    w = _sobolev_weights(g, k)
     total = np.sum(w * np.abs(F) ** 2)
     # Parseval: sum |u|^2 = sum |F|^2 / M^n
     return float(np.sqrt(g.cell_volume * total / g.points_per_axis**g.dim))
@@ -313,7 +304,7 @@ def norm_h_minus1(u: GridFunction) -> float:
     """Spectral H^-1 norm: (1 + |xi|^2)^(-1/2) weight in frequency."""
     g = u.grid
     F = np.fft.fftn(u.values)
-    w = _sobolev_weights(g.dim, g.points_per_axis, g.spacing, 1)
+    w = _sobolev_weights(g, 1)
     total = np.sum(np.abs(F) ** 2 / w)
     return float(np.sqrt(g.cell_volume * total / g.points_per_axis**g.dim))
 
@@ -325,8 +316,7 @@ def derivative(u: GridFunction, axis: int = 0, order: int = 1) -> GridFunction:
     g = u.grid
     if axis < 0 or axis >= g.dim:
         raise GridError(f"axis {axis} out of range for dim {g.dim}")
-    xi = 2.0 * np.pi * np.fft.fftfreq(g.points_per_axis, d=g.spacing)
-    mult = (1j * xi) ** order
+    mult = (1j * g.wavenumbers()[axis]) ** order
     if order % 2 == 1:
         mult[g.points_per_axis // 2] = 0.0  # drop the unsigned Nyquist mode
     shape = [1] * g.dim
@@ -340,3 +330,14 @@ def pair(u: GridFunction, psi: TestFunction) -> complex:
     """Distributional pairing <u, psi> = cell_volume * sum(u * psi), no conjugation."""
     _check_same_grid(u, psi.gridfunc)
     return complex(u.grid.cell_volume * np.sum(u.values * psi.gridfunc.values.real))
+
+
+def periodic_convolve(a: np.ndarray, b: np.ndarray, grid: SpatialGrid) -> np.ndarray:
+    """Periodic convolution (a * b)(x) = integral a(x - y) b(y) dy by FFT.
+
+    Both factors are samples starting at x_0 = -L, so the FFT product picks
+    up a shift of L = M/2 cells per axis, which the roll undoes.
+    """
+    conv = np.fft.ifftn(np.fft.fftn(a) * np.fft.fftn(b))
+    shift = grid.points_per_axis // 2
+    return grid.cell_volume * np.roll(conv, shift, axis=tuple(range(grid.dim)))

@@ -18,7 +18,7 @@ from scipy import integrate
 
 from .asymptotics import EpsGrid, EpsNet, loglog_fit
 from .errors import BoxTooSmallError, PositivityError, RegnetsError
-from .grid import GridFunction, SpatialGrid, TestFunction, pair
+from .grid import GridFunction, SpatialGrid, TestFunction, pair, periodic_convolve
 from .mollifiers import MollifierSpec, sampled_mass, scaled_mollifier
 
 
@@ -65,7 +65,6 @@ class Density:
                 return min(r, a) / a / 2.0 * 2.0 if r < a else 1.0
             sigma = float(self.params.get("sigma", 1.0))
             return math.erf(r / (sigma * math.sqrt(2.0)))
-        f = lambda s: 2.0 * np.pi * s * float(self.evaluate(dim, s, 0.0 * s))
         if self.kind == "uniform":
             # radial integral of the box indicator; do it numerically
             val, _ = integrate.quad(
@@ -194,22 +193,12 @@ def mollify_measure(
     if mu.density is not None and mu.density_weight > 0:
         dens = mu.density.evaluate(grid.dim, *coords)
         rho = spec.evaluate_scaled(eps, *coords)
-        conv = np.fft.ifftn(np.fft.fftn(dens) * np.fft.fftn(rho)).real
-        # periodic convolution: the mollifier is centered at the box origin,
-        # which sits at index M/2 offset from fft order; roll accordingly
-        h += mu.density_weight * grid.cell_volume * _recentre(conv, grid)
+        h += mu.density_weight * periodic_convolve(dens, rho, grid).real
     if h.min() <= 0.0:
         raise PositivityError(
             "mollified measure non-positive at a node (quadrature/underflow failure)"
         )
     return GridFunction(grid, h)
-
-
-def _recentre(conv: np.ndarray, grid: SpatialGrid) -> np.ndarray:
-    # samples were taken with x_0 = -L at index 0, so the convolution picks
-    # up a shift of L = M/2 cells per axis
-    shift = grid.points_per_axis // 2
-    return np.roll(conv, shift, axis=tuple(range(grid.dim)))
 
 
 def sqrt_root(h: GridFunction) -> GridFunction:

@@ -66,6 +66,9 @@ class TestSpatialGrid:
         xi = g.wavenumbers()[0]
         expected = 2.0 * np.pi * np.fft.fftfreq(16, d=g.spacing)
         np.testing.assert_allclose(xi, expected)
+        assert g.wavenumbers()[0] is xi  # cached per grid
+        with pytest.raises(ValueError):
+            xi[0] = 1.0
 
 
 # ---------------------------------------------------------------------------
@@ -230,6 +233,37 @@ class TestTestFunctions:
         wide = GridFunction.from_profile(g, lambda x: 1.0 + 0.0 * x)
         with pytest.raises(GridError):
             TestFunction(wide, name="constant", params={})
+
+    @pytest.mark.parametrize(
+        "shape, node",
+        [
+            ((16,), (0,)),
+            ((16,), (-1,)),
+            ((16, 16), (0, 5)),
+            ((16, 16), (-1, 7)),
+            ((16, 16), (3, 0)),
+            ((16, 16), (9, -1)),
+        ],
+        ids=["1d-first", "1d-last", "2d-axis0-first", "2d-axis0-last", "2d-axis1-first", "2d-axis1-last"],
+    )
+    def test_each_outer_side_is_on_the_edge(self, shape, node):
+        g = SpatialGrid(len(shape), 1.0, shape[0])
+
+        def peak_plus_node(at):
+            v = np.zeros(shape)
+            v[(8,) * len(shape)] = 4.0
+            v[at] = 1.0
+            return GridFunction(g, v)
+
+        edge = peak_plus_node(node)
+        assert edge.boundary_decay() == 0.25
+        with pytest.raises(GridError):
+            TestFunction(edge, name="edge", params={})
+        # one cell further in, the same node is interior
+        inward = tuple(1 if i == 0 else -2 if i == -1 else i for i in node)
+        interior = peak_plus_node(inward)
+        assert interior.boundary_decay() == 0.0
+        TestFunction(interior, name="interior", params={})
 
     def test_pair_against_bump_matches_quadrature(self):
         from scipy.integrate import quad

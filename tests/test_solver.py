@@ -255,16 +255,17 @@ class TestCrankNicolson:
 
 
 class TestAudits:
-    def _dirac_problem(self, grid, coeffs, spec, T=0.1, steps=40):
+    def _dirac_problem(self, grid, coeffs, spec, T=0.1, steps=40, forcing=None):
         from regnets import scaled_mollifier
 
         return CauchyProblem(
             grid=grid, coeffs=coeffs,
             initial=lambda e: scaled_mollifier(spec, e, grid),
-            forcing=None, T=T, time_steps=steps,
+            forcing=forcing, T=T, time_steps=steps,
         )
 
-    def test_energy_audit_reports_finite_ratio(self):
+    @pytest.mark.parametrize("forced", [False, True], ids=["unforced", "forced"])
+    def test_energy_audit_reports_finite_ratio(self, forced):
         from regnets import MollifierSpec
 
         grid = SpatialGrid(1, 2.0, 2048)
@@ -274,10 +275,12 @@ class TestAudits:
             V=constant_coefficient(1.0),
             c0=0.5,
         )
-        problem = self._dirac_problem(grid, net, spec)
+        shape = np.exp(-grid.axis_coords() ** 2)
+        forcing = (lambda e, t: t * shape) if forced else None
+        problem = self._dirac_problem(grid, net, spec, forcing=forcing)
         res = solve(problem, 0.125)
         rep = energy_audit(res, problem, 0.125)
-        assert np.isfinite(rep["ratio"])
+        assert np.isfinite(rep["ratio"]) and rep["ratio"] > 0.0
         assert rep["C1"] > 0.0
         assert rep["C2"] == pytest.approx(0.1 * (0.5 + 1.0), rel=1e-12)
 
@@ -295,7 +298,8 @@ class TestAudits:
         assert np.isfinite(slope) and slope > 0.0
         assert rms < 0.1
 
-    def test_uniqueness_probe_passes_for_negligible_perturbation(self):
+    @pytest.mark.parametrize("q", [4, 10])
+    def test_uniqueness_probe_passes_for_negligible_perturbation(self, q):
         grid = SpatialGrid(1, 2.0, 512)
         rng = np.random.default_rng(21)
         w = GridFunction(grid, rng.standard_normal(512))
@@ -304,9 +308,9 @@ class TestAudits:
             grid=grid, coeffs=_free_net(), initial=lambda e: u0, forcing=None,
             T=0.1, time_steps=20,
         )
-        rep = uniqueness_probe(problem, EpsGrid.dyadic(1, 6), q=4, perturbation=w)
+        rep = uniqueness_probe(problem, EpsGrid.dyadic(1, 6), q=q, perturbation=w)
         assert rep["passes"]
-        assert rep["decay_exponent"] == pytest.approx(4.0, abs=0.1)
+        assert rep["decay_exponent"] == pytest.approx(q, abs=0.1)
 
 
 @given(steps=st.integers(10, 60), seed=st.integers(0, 10**6))
