@@ -427,11 +427,7 @@ def _run_free_example(config, out, workers):
 
 def _run_coherence(config, out, workers):
     grid = SpatialGrid(config["dim"], config["half_width"], config["points_per_axis"])
-    coeffs = CoefficientNet(
-        c=(constant_coefficient(config["coefficient_base"]),) * grid.dim,
-        V=constant_coefficient(config["potential"]),
-        c0=0.5 * config["coefficient_base"],
-    )
+    coeffs = _coefficient_net(config, grid)
     spec = MollifierSpec(dim=grid.dim, exponent=config["mollifier_exponent"])
     if config["data"] == "gaussian":
         g0 = GridFunction.from_profile(
@@ -459,12 +455,12 @@ def _run_coherence(config, out, workers):
 
 
 def _run_association(config, out, workers):
+    if not 0.0 <= config["snapshot_time"] <= config["T"]:
+        raise ConfigError(
+            f"snapshot_time {config['snapshot_time']} is outside [0, T] with T={config['T']}"
+        )
     grid = SpatialGrid(config["dim"], config["half_width"], config["points_per_axis"])
-    coeffs = CoefficientNet(
-        c=(constant_coefficient(config["coefficient_base"]),) * grid.dim,
-        V=constant_coefficient(0.0),
-        c0=0.5 * config["coefficient_base"],
-    )
+    coeffs = _coefficient_net(config, grid)
     spec = MollifierSpec(dim=grid.dim, exponent=config["mollifier_exponent"])
     problem = CauchyProblem(
         grid=grid, coeffs=coeffs,

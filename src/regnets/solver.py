@@ -22,7 +22,7 @@ import scipy.sparse.linalg as spla
 from scipy.integrate import trapezoid
 
 from .asymptotics import EpsGrid, EpsNet, check_log_type, loglog_fit
-from .errors import PositivityError, SolverError
+from .errors import PositivityError, RegnetsError, SolverError
 from .grid import GridFunction, SpatialGrid, norm_h_minus1, norm_hk, norm_l2
 
 LINEAR_RESIDUAL_TOL = 1e-10
@@ -34,63 +34,58 @@ LINEAR_RESIDUAL_TOL = 1e-10
 
 @dataclass(frozen=True)
 class Coefficient:
-    """Closed-form coefficient family c(eps, t, x) with analytic d_t.
+    """Closed-form coefficient family c(eps, t, x) with its time dependence.
 
-    evaluate(eps, t, grid) -> real array on the grid; dt_evaluate gives the
-    time derivative (used by log-type checks and energy constants).
+    evaluate(eps, t, grid) -> real array on the grid. dt_evaluate declares
+    how c depends on t: None means c does not depend on t, so the solver
+    factors its Crank-Nicolson matrix once per solve; otherwise it is the
+    analytic d_t c with the same signature (used by the solver to refactor
+    every step, and by log-type checks and energy constants). It has no
+    default, so every coefficient states which kind it is.
     """
 
     evaluate: Callable
-    dt_evaluate: Callable
-    label: str = ""
+    dt_evaluate: Callable | None
 
 
 def constant_coefficient(value: float) -> Coefficient:
     return Coefficient(
         evaluate=lambda eps, t, grid: np.full(grid.shape, float(value)),
-        dt_evaluate=lambda eps, t, grid: np.zeros(grid.shape),
-        label=f"const({value})",
+        dt_evaluate=None,
     )
 
 
-def spatial_coefficient(profile, label: str = "spatial") -> Coefficient:
+def spatial_coefficient(profile) -> Coefficient:
     """Time- and eps-independent coefficient c(x)."""
     return Coefficient(
         evaluate=lambda eps, t, grid: np.asarray(profile(*grid.meshgrid()), dtype=float),
-        dt_evaluate=lambda eps, t, grid: np.zeros(grid.shape),
-        label=label,
+        dt_evaluate=None,
     )
 
 
-def log_time_coefficient(base: float, shape_profile, label: str = "logtime") -> Coefficient:
+def _linear_in_time(base: float, shape_profile, rate) -> Coefficient:
+    """c_eps(x,t) = base + t * rate(eps) * s(x), so d_t c = rate(eps) * s(x)."""
+
+    def s(grid):
+        return np.asarray(shape_profile(*grid.meshgrid()), dtype=float)
+
+    return Coefficient(
+        evaluate=lambda eps, t, grid: base + t * rate(eps) * s(grid),
+        dt_evaluate=lambda eps, t, grid: rate(eps) * s(grid),
+    )
+
+
+def log_time_coefficient(base: float, shape_profile) -> Coefficient:
     """c_eps(x,t) = base + t * log(1/eps) * s(x) with s >= 0 bounded.
 
     Time derivative sup norm grows exactly like log(1/eps).
     """
-
-    def ev(eps, t, grid):
-        s = np.asarray(shape_profile(*grid.meshgrid()), dtype=float)
-        return base + t * np.log(1.0 / eps) * s
-
-    def dt(eps, t, grid):
-        s = np.asarray(shape_profile(*grid.meshgrid()), dtype=float)
-        return np.log(1.0 / eps) * s
-
-    return Coefficient(evaluate=ev, dt_evaluate=dt, label=label)
+    return _linear_in_time(base, shape_profile, lambda eps: np.log(1.0 / eps))
 
 
 def power_time_coefficient(base: float, shape_profile, power: float = 0.5) -> Coefficient:
     """c_eps(x,t) = base + t * eps^(-power) * s(x): violates the log-type law."""
-
-    def ev(eps, t, grid):
-        s = np.asarray(shape_profile(*grid.meshgrid()), dtype=float)
-        return base + t * eps ** (-power) * s
-
-    def dt(eps, t, grid):
-        s = np.asarray(shape_profile(*grid.meshgrid()), dtype=float)
-        return eps ** (-power) * s
-
-    return Coefficient(evaluate=ev, dt_evaluate=dt, label=f"powertime({power})")
+    return _linear_in_time(base, shape_profile, lambda eps: eps ** (-power))
 
 
 def mollified_jump_coefficient(
@@ -107,10 +102,22 @@ def mollified_jump_coefficient(
         x = grid.meshgrid()[0]
         return low + (high - low) * 0.5 * (1.0 + np.tanh((x - jump_at) / width))
 
-    return Coefficient(
-        evaluate=ev,
-        dt_evaluate=lambda eps, t, grid: np.zeros(grid.shape),
-        label="mollified_jump",
+    return Coefficient(evaluate=ev, dt_evaluate=None)
+
+
+def _dt_sup(coeffs: Sequence[Coefficient], eps: float, times, grid: SpatialGrid) -> float:
+    """max over coeffs and times of ||d_t c_eps(t)||_inf.
+
+    Coefficients declared independent of t contribute 0 without evaluation.
+    """
+    return max(
+        (
+            float(np.max(np.abs(c.dt_evaluate(eps, t, grid))))
+            for c in coeffs
+            if c.dt_evaluate is not None
+            for t in times
+        ),
+        default=0.0,
     )
 
 
@@ -130,24 +137,20 @@ class CoefficientNet:
         object.__setattr__(self, "c0", float(c0))
 
     def check_positivity(self, eps: float, t: float, grid: SpatialGrid):
-        for k, ck in enumerate(self.c):
-            vals = ck.evaluate(eps, t, grid)
-            if vals.min() < self.c0 - 1e-12:
+        self._check_fields([ck.evaluate(eps, t, grid) for ck in self.c], eps, t)
+
+    def _check_fields(self, c_fields: Sequence[np.ndarray], eps: float, t: float):
+        """Raise PositivityError if any evaluated c_k dips below c0."""
+        for k, vals in enumerate(c_fields):
+            low = vals.min()
+            if low < self.c0 - 1e-12:
                 raise PositivityError(
-                    f"c_{k} dips below c0={self.c0} at (eps={eps}, t={t}): "
-                    f"min={vals.min()}"
+                    f"c_{k} dips below c0={self.c0} at (eps={eps}, t={t}): min={low}"
                 )
 
     def dt_sup_norms(self, eps_grid: EpsGrid, grid: SpatialGrid, t_samples):
         """max over coefficients, t-samples of ||d_t c_eps||_inf, per eps."""
-        sups = []
-        for eps in eps_grid:
-            s = 0.0
-            for coeff in (*self.c, self.V):
-                for t in t_samples:
-                    s = max(s, float(np.max(np.abs(coeff.dt_evaluate(eps, t, grid)))))
-            sups.append(s)
-        return sups
+        return [_dt_sup((*self.c, self.V), eps, t_samples, grid) for eps in eps_grid]
 
     def check_log_type(self, eps_grid: EpsGrid, grid: SpatialGrid, t_samples=(0.0, 0.5, 1.0)):
         sups = self.dt_sup_norms(eps_grid, grid, t_samples)
@@ -219,8 +222,8 @@ class FluxFormOperator:
 def build_operator(
     coeffs: CoefficientNet, eps: float, t: float, grid: SpatialGrid
 ) -> FluxFormOperator:
-    coeffs.check_positivity(eps, t, grid)
     c_fields = [ck.evaluate(eps, t, grid) for ck in coeffs.c]
+    coeffs._check_fields(c_fields, eps, t)
     v_field = coeffs.V.evaluate(eps, t, grid)
     return FluxFormOperator(grid, c_fields, v_field)
 
@@ -303,16 +306,6 @@ def _cn_matrices(op: FluxFormOperator, dt: float):
     return S, R
 
 
-def _coefficients_time_dependent(coeffs: CoefficientNet, eps: float, grid: SpatialGrid, T: float) -> bool:
-    fields = (*coeffs.c, coeffs.V)
-    ref = [c.evaluate(eps, 0.0, grid) for c in fields]
-    for t in (0.37 * T, T):
-        for c, a in zip(fields, ref):
-            if not np.array_equal(c.evaluate(eps, t, grid), a):
-                return True
-    return False
-
-
 def solve(
     problem: CauchyProblem,
     eps: float,
@@ -331,16 +324,24 @@ def solve(
     residuals = []
 
     snap_set = sorted(set(float(t) for t in snapshot_times))
+    for ts in snap_set:
+        if not 0.0 <= ts <= problem.T:
+            raise RegnetsError(f"snapshot time {ts} is outside [0, T] with T={problem.T}")
 
     def norms_row(t, vec):
         gf = GridFunction(grid, vec)
         return (t, norm_l2(gf), norm_hk(gf, 1), norm_hk(gf, 2))
 
-    history = [norms_row(0.0, u)] if record_norms else []
-    if snap_set and abs(snap_set[0]) < 1e-12:
-        snapshots[0.0] = GridFunction(grid, u)
+    def take_snapshots(t, vec):
+        # each requested time takes the first state within dt/2 of it
+        for ts in snap_set:
+            if abs(ts - t) <= dt / 2.0 + 1e-12 and ts not in snapshots:
+                snapshots[ts] = GridFunction(grid, vec)
 
-    time_dep = _coefficients_time_dependent(problem.coeffs, eps, grid, problem.T)
+    history = [norms_row(0.0, u)] if record_norms else []
+    take_snapshots(0.0, u)
+
+    time_dep = any(c.dt_evaluate is not None for c in (*problem.coeffs.c, problem.coeffs.V))
     lu = None
     S = R = None
     for m in range(Nt):
@@ -364,9 +365,7 @@ def solve(
         times.append(t_new)
         if record_norms:
             history.append(norms_row(t_new, u))
-        for ts in snap_set:
-            if abs(ts - t_new) <= dt / 2.0 + 1e-12 and ts not in snapshots:
-                snapshots[ts] = GridFunction(grid, u)
+        take_snapshots(t_new, u)
 
     return SolveResult(
         eps=eps,
@@ -387,7 +386,6 @@ def energy_audit(
     problem: CauchyProblem,
     eps: float,
     kappa: float = 1.0,
-    t_samples=(0.0, 0.5, 1.0),
 ) -> dict:
     """Compare sup_t ||u||_H1^2 with the growth bound built from the data.
 
@@ -395,8 +393,11 @@ def energy_audit(
     kappa (default 1): rhs = kappa * C2 * exp(C1) * (||g||_H1^2 +
     int_0^T (||f||_L2^2 + ||d_t f||_{H-1}^2) dt), with
     C2 = T (c0 + ||V||_inf) and C1 = (T / c0) (max_k ||d_t c_k||_inf +
-    ||d_t V||_inf). Because the absolute constants in the estimate are not
-    specified, the report carries the ratio rather than asserting <= 1.
+    ||d_t V||_inf). The sup norms run over the solve's own times
+    result.times; coefficients declared independent of t need one
+    evaluation and contribute 0 to C1. Because the absolute constants in
+    the estimate are not specified, the report carries the ratio rather
+    than asserting <= 1.
     """
     grid, T = problem.grid, problem.T
     lhs = float(np.max(result.norm_history[:, 2]) ** 2)
@@ -420,18 +421,11 @@ def energy_audit(
             fdot_hm1.append(norm_h_minus1(dfi) ** 2)
         f_int = float(trapezoid(np.asarray(f_l2) + np.asarray(fdot_hm1), ts))
 
-    sup_dtc = 0.0
-    for coeff in problem.coeffs.c:
-        for t in t_samples:
-            sup_dtc = max(sup_dtc, float(np.max(np.abs(coeff.dt_evaluate(eps, t, grid)))))
-    sup_dtv = max(
-        float(np.max(np.abs(problem.coeffs.V.dt_evaluate(eps, t, grid))))
-        for t in t_samples
-    )
-    sup_v = max(
-        float(np.max(np.abs(problem.coeffs.V.evaluate(eps, t, grid))))
-        for t in t_samples
-    )
+    c, V = problem.coeffs.c, problem.coeffs.V
+    sup_dtc = _dt_sup(c, eps, result.times, grid)
+    sup_dtv = _dt_sup((V,), eps, result.times, grid)
+    v_times = (0.0,) if V.dt_evaluate is None else result.times
+    sup_v = max(float(np.max(np.abs(V.evaluate(eps, t, grid)))) for t in v_times)
     C1 = (T / problem.coeffs.c0) * (sup_dtc + sup_dtv)
     C2 = T * (problem.coeffs.c0 + sup_v)
     rhs = kappa * max(C2, 1e-300) * np.exp(C1) * (g_h1sq + f_int)

@@ -140,6 +140,17 @@ class TestRun:
         path = _write(tmp_path, text)
         assert run(path, out_dir=tmp_path / "res") in (1, 2)
 
+    def test_snapshot_time_beyond_T_exits_2(self, tmp_path, capsys):
+        text = (
+            "experiment = association\ndim = 1\nhalf_width = 4\n"
+            "points_per_axis = 128\neps_grid = 0.5,0.25,0.125,0.0625,0.03125,0.015625\n"
+            "T = 0.1\ntime_steps = 10\nsnapshot_time = 0.2\n"
+        )
+        path = _write(tmp_path, text)
+        assert run(path, out_dir=tmp_path / "res") == 2
+        err = capsys.readouterr().err
+        assert "config error" in err and "snapshot_time 0.2" in err
+
     def test_determinism_same_config_same_tables(self, tmp_path):
         path = _write(tmp_path, SELFTEST)
         assert run(path, out_dir=tmp_path / "a") == 0

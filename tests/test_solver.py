@@ -2,15 +2,18 @@
 
 import numpy as np
 import pytest
+import scipy.sparse.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from regnets import (
     CauchyProblem,
+    Coefficient,
     CoefficientNet,
     EpsGrid,
     GridFunction,
     PositivityError,
+    RegnetsError,
     SpatialGrid,
     build_operator,
     coercivity_check,
@@ -40,6 +43,25 @@ def _free_net_2d(c0=1.0):
         c=(constant_coefficient(c0), constant_coefficient(c0)),
         V=constant_coefficient(0.0),
         c0=c0 / 2,
+    )
+
+
+def _wobbling_coefficient(T):
+    """c = 1 + sin^2(pi t / 0.37T) sin^2(pi t / T) exp(-x^2), declared with its d_t.
+
+    It equals 1 (to roundoff) at t = 0, 0.37T and T, so sampling those
+    instants cannot tell it from a static coefficient.
+    """
+    a, b = np.pi / (0.37 * T), np.pi / T
+
+    def bump(grid):
+        return np.exp(-grid.meshgrid()[0] ** 2)
+
+    return Coefficient(
+        evaluate=lambda eps, t, grid: 1.0 + np.sin(a * t) ** 2 * np.sin(b * t) ** 2 * bump(grid),
+        dt_evaluate=lambda eps, t, grid: (
+            a * np.sin(2 * a * t) * np.sin(b * t) ** 2 + b * np.sin(a * t) ** 2 * np.sin(2 * b * t)
+        ) * bump(grid),
     )
 
 
@@ -212,8 +234,76 @@ class TestCrankNicolson:
             grid=grid, coeffs=_free_net(), initial=lambda e: u0, forcing=None,
             T=1.0, time_steps=10,
         )
-        res = solve(problem, 1.0, snapshot_times=[0.0, 0.5, 1.0])
-        assert set(res.snapshots) == {0.0, 0.5, 1.0}
+        res = solve(problem, 1.0, snapshot_times=[0.0, 0.04, 0.5, 1.0])
+        assert set(res.snapshots) == {0.0, 0.04, 0.5, 1.0}
+        # 0.04 is within dt/2 of t = 0 only
+        np.testing.assert_array_equal(res.snapshots[0.04].values, u0.values)
+
+    @pytest.mark.parametrize("t", [-0.1, 1.5])
+    def test_snapshot_times_outside_interval_rejected(self, t):
+        grid = SpatialGrid(1, 1.0, 64)
+        u0 = GridFunction(grid, np.ones(64, dtype=complex))
+        problem = CauchyProblem(
+            grid=grid, coeffs=_free_net(), initial=lambda e: u0, forcing=None,
+            T=1.0, time_steps=10,
+        )
+        with pytest.raises(RegnetsError, match=rf"{t}.*T=1\.0"):
+            solve(problem, 1.0, snapshot_times=[0.5, t])
+
+    @pytest.mark.parametrize(
+        "c, V, factorizations",
+        [
+            (constant_coefficient(1.0), constant_coefficient(0.5), 1),
+            (spatial_coefficient(lambda x: 1.0 + 0.5 * np.cos(x)),
+             spatial_coefficient(lambda x: np.sin(x)), 1),
+            (mollified_jump_coefficient(1.0, 2.0), constant_coefficient(0.0), 1),
+            (_wobbling_coefficient(0.5), constant_coefficient(0.0), 50),
+            (constant_coefficient(1.0), log_time_coefficient(0.0, lambda x: np.exp(-x**2)), 50),
+        ],
+        ids=["constant", "spatial", "jump", "custom_time_dependent", "time_dependent_V"],
+    )
+    def test_factorizations_follow_declared_time_dependence(self, monkeypatch, c, V, factorizations):
+        calls = []
+        splu = scipy.sparse.linalg.splu
+
+        def counting_splu(*args, **kwargs):
+            calls.append(1)
+            return splu(*args, **kwargs)
+
+        monkeypatch.setattr(scipy.sparse.linalg, "splu", counting_splu)
+        grid = SpatialGrid(1, 4.0, 256)
+        u0 = GridFunction.from_profile(grid, lambda x: np.exp(-(x**2)))
+        problem = CauchyProblem(
+            grid=grid, coeffs=CoefficientNet(c=(c,), V=V, c0=0.5),
+            initial=lambda e: u0, forcing=None, T=0.5, time_steps=50,
+        )
+        solve(problem, 0.5)
+        assert len(calls) == factorizations
+
+    def test_time_dependent_coefficient_is_not_frozen(self):
+        # the wobbling coefficient is 1 at the instants t = 0, 0.37T, T;
+        # freezing it at t = dt/2 must give a visibly different solution
+        T, steps = 0.5, 50
+        c = _wobbling_coefficient(T)
+        frozen = Coefficient(
+            evaluate=lambda eps, t, grid: c.evaluate(eps, T / steps / 2, grid),
+            dt_evaluate=None,
+        )
+        grid = SpatialGrid(1, 4.0, 256)
+        u0 = GridFunction.from_profile(grid, lambda x: np.exp(-(x**2)))
+
+        def run(coeff):
+            problem = CauchyProblem(
+                grid=grid, coeffs=CoefficientNet(c=(coeff,), V=None, c0=0.5),
+                initial=lambda e: u0, forcing=None, T=T, time_steps=steps,
+            )
+            return solve(problem, 0.5)
+
+        moving, still = run(c), run(frozen)
+        sup_u = np.max(np.abs(moving.final.values))
+        assert np.max(np.abs(moving.final.values - still.final.values)) > 0.01 * sup_u
+        drift = np.abs(moving.norm_history[:, 1] - moving.norm_history[0, 1])
+        assert np.max(drift) <= 1e-12 * moving.norm_history[0, 1]
 
     def test_forcing_enters_linearly(self):
         grid = SpatialGrid(1, 2.0, 128)
@@ -264,25 +354,33 @@ class TestAudits:
             forcing=forcing, T=T, time_steps=steps,
         )
 
-    @pytest.mark.parametrize("forced", [False, True], ids=["unforced", "forced"])
-    def test_energy_audit_reports_finite_ratio(self, forced):
+    @pytest.mark.parametrize("case", ["unforced", "forced", "time_dependent_V"])
+    def test_energy_audit_reports_finite_ratio(self, case):
         from regnets import MollifierSpec
 
         grid = SpatialGrid(1, 2.0, 2048)
         spec = MollifierSpec(dim=1, exponent=3.0)
+        shape = np.exp(-grid.axis_coords() ** 2)
+        if case == "time_dependent_V":
+            # V grows in t; its sup is taken over the solve's times, which end at T = 0.1
+            V = log_time_coefficient(1.0, lambda x: 0.5 * np.exp(-(x**2)))
+            T, steps, eps = 0.1, 20, 0.25
+        else:
+            V = constant_coefficient(1.0)
+            T, steps, eps = 0.1, 40, 0.125
         net = CoefficientNet(
             c=(log_time_coefficient(1.0, lambda x: 0.1 + 0.05 * np.cos(np.pi * x / 2)),),
-            V=constant_coefficient(1.0),
+            V=V,
             c0=0.5,
         )
-        shape = np.exp(-grid.axis_coords() ** 2)
-        forcing = (lambda e, t: t * shape) if forced else None
-        problem = self._dirac_problem(grid, net, spec, forcing=forcing)
-        res = solve(problem, 0.125)
-        rep = energy_audit(res, problem, 0.125)
+        forcing = (lambda e, t: t * shape) if case == "forced" else None
+        problem = self._dirac_problem(grid, net, spec, T=T, steps=steps, forcing=forcing)
+        res = solve(problem, eps)
+        rep = energy_audit(res, problem, eps)
         assert np.isfinite(rep["ratio"]) and rep["ratio"] > 0.0
         assert rep["C1"] > 0.0
-        assert rep["C2"] == pytest.approx(0.1 * (0.5 + 1.0), rel=1e-12)
+        sup_v_T = float(np.max(np.abs(V.evaluate(eps, T, grid))))
+        assert rep["C2"] == pytest.approx(T * (0.5 + sup_v_T), rel=1e-12)
 
     def test_sup_h1_net_grows_like_a_power(self):
         from regnets import MollifierSpec
