@@ -20,7 +20,7 @@ import numpy as np
 
 from . import io
 from .asymptotics import EpsGrid, EpsNet, classify_moderate, loglog_fit
-from .errors import ConfigError, RegnetsError
+from .errors import BoxTooSmallError, ConfigError, RegnetsError, ResolutionError
 from .free import free_evolve, sqrt_delta_data, vague_convergence_check
 from .grid import (
     GridFunction,
@@ -517,6 +517,10 @@ def run(config_path, out_dir=None, workers: int = 1, seed: int | None = None) ->
     except ConfigError as exc:
         loc = f" (line {exc.line})" if exc.line else ""
         print(f"config error{loc}: {exc}", file=sys.stderr)
+        return 2
+    except (ResolutionError, BoxTooSmallError) as exc:
+        # the config asks for scales its grid or box cannot hold
+        print(f"config error: {exc}", file=sys.stderr)
         return 2
     except RegnetsError as exc:
         print(f"run failed: {exc}", file=sys.stderr)

@@ -1,9 +1,8 @@
-"""Result persistence: binary snapshot directories, key-value manifests, CSV.
+"""Result persistence: key-value manifests and CSV tables.
 
 The on-disk layout is a results directory holding a `manifest.txt` of flat
-`key = value` lines, one `.npy` file per stored grid function, and CSV
-tables written with the stdlib csv module. Everything round-trips through
-plain text plus numpy binaries so runs are diff-able and citable.
+`key = value` lines and CSV tables written with the stdlib csv module.
+Everything round-trips through plain text so runs are diff-able and citable.
 """
 
 from __future__ import annotations
@@ -14,9 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .asymptotics import EpsGrid, EpsNet
 from .errors import ConfigError
-from .grid import GridFunction, SpatialGrid
 
 
 def write_manifest(path, entries: dict) -> None:
@@ -81,42 +78,3 @@ def read_csv(path):
         header = next(reader)
         rows = list(reader)
     return header, rows
-
-
-def save_eps_net(net: EpsNet, directory, label: str = "net") -> Path:
-    """Persist an EpsNet of grid functions: one .npy per eps + manifest."""
-    directory = Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
-    grid = net.items[0].grid
-    entries = {
-        "label": label,
-        "kind": "eps_net",
-        "dim": grid.dim,
-        "half_width": grid.half_width,
-        "points_per_axis": grid.points_per_axis,
-        "eps_grid": ",".join(f"{e:.17g}" for e in net.eps.values),
-    }
-    for i, (eps, item) in enumerate(zip(net.eps.values, net.items)):
-        fname = f"snapshot_{i:03d}.npy"
-        np.save(directory / fname, item.values)
-        entries[f"file_{i:03d}"] = fname
-    write_manifest(directory / "manifest.txt", entries)
-    return directory
-
-
-def load_eps_net(directory) -> EpsNet:
-    directory = Path(directory)
-    entries = read_manifest(directory / "manifest.txt")
-    if entries.get("kind") != "eps_net":
-        raise ConfigError(f"not an eps_net directory: {directory}")
-    grid = SpatialGrid(
-        int(entries["dim"]),
-        float(entries["half_width"]),
-        int(entries["points_per_axis"]),
-    )
-    eps = EpsGrid(tuple(float(v) for v in entries["eps_grid"].split(",")))
-    items = []
-    for i in range(len(eps.values)):
-        arr = np.load(directory / entries[f"file_{i:03d}"])
-        items.append(GridFunction(grid, arr))
-    return EpsNet(eps=eps, items=tuple(items), label=entries.get("label", ""))

@@ -20,6 +20,7 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from scipy.integrate import trapezoid
+from scipy.linalg import lapack
 
 from .asymptotics import EpsGrid, EpsNet, check_log_type, loglog_fit
 from .errors import PositivityError, RegnetsError, SolverError
@@ -294,16 +295,53 @@ class SolveResult:
     snapshots: dict  # t -> GridFunction
     residuals: list
     final: GridFunction
+    backend: str  # "tridiagonal", "fft" or "sparse_lu"
+    factorizations: int
 
 
-def _cn_matrices(op: FluxFormOperator, dt: float):
+def _cn_matrices(op: FluxFormOperator, dt: float) -> sp.csc_matrix:
+    """S = I - i(dt/2)H as a sparse matrix, the operand of the sparse LU path."""
     H = op.as_sparse()
-    N = H.shape[0]
-    I = sp.identity(N, format="csc", dtype=complex)
+    return (sp.identity(H.shape[0], format="csc", dtype=complex) - 0.5j * dt * H).tocsc()
+
+
+def _cn_solver(op: FluxFormOperator, dt: float):
+    """(backend, solve) for S = I - i(dt/2)H; solve maps a grid-shaped rhs to S^-1 rhs.
+
+    The choice depends only on the dimension and the fields being inverted.
+    1-D: S is cyclic tridiagonal. Moving the corner entry g to the diagonal
+    gives S = T + g e e^T with e = e_0 + e_{N-1} and T tridiagonal of the
+    same Cayley form, so banded LU of T plus Sherman-Morrison solves S in
+    O(N) (Temperton 1975). Uniform c_k and V (2-D): S is the Fourier
+    multiplier 1 - i(dt/2)(V - 4 sum_k c_k sin^2(xi_k dx/2)/dx^2).
+    Otherwise: sparse LU.
+    """
     lam = 0.5j * dt
-    S = (I - lam * H).tocsc()
-    R = (I + lam * H).tocsc()
-    return S, R
+    dx2 = op.dx**2
+    if op.grid.dim == 1:
+        ch = op.c_half[0]
+        off = -lam * ch / dx2  # S[i, i+1] = S[i+1, i]; off[-1] is the corner S[0, N-1]
+        diag = 1.0 - lam * (op.v - (ch + np.roll(ch, 1)) / dx2)
+        corner = off[-1]
+        diag[[0, -1]] -= corner
+        lu = lapack.zgttrf(off[:-1], diag, off[:-1])[:-1]  # T is never singular
+        e = np.zeros(diag.shape, dtype=complex)
+        e[[0, -1]] = 1.0
+        z = lapack.zgttrs(*lu, e)[0]
+        z *= corner / (1.0 + corner * (z[0] + z[-1]))
+
+        def solve_tridiagonal(rhs):
+            y = lapack.zgttrs(*lu, rhs)[0]
+            return y - (y[0] + y[-1]) * z
+
+        return "tridiagonal", solve_tridiagonal
+    if all(np.all(a == a.flat[0]) for a in (*op.c_half, op.v)):
+        xi = np.ix_(*op.grid.wavenumbers())
+        sin_sq = [ch.flat[0] * np.sin(x * op.dx / 2.0) ** 2 for ch, x in zip(op.c_half, xi)]
+        multiplier = 1.0 - lam * (op.v.flat[0] - 4.0 * sum(sin_sq) / dx2)
+        return "fft", lambda rhs: np.fft.ifftn(np.fft.fftn(rhs) / multiplier)
+    lu = spla.splu(_cn_matrices(op, dt))
+    return "sparse_lu", lambda rhs: lu.solve(rhs.ravel()).reshape(rhs.shape)
 
 
 def solve(
@@ -314,10 +352,13 @@ def solve(
 ) -> SolveResult:
     """Crank-Nicolson march with coefficients frozen at half steps.
 
-    Linear systems are solved by sparse LU; the relative residual of every
-    step is recorded and must meet 1e-10, else SolverError.
+    Each step solves S u_new = R u + dt f with S, R = I -/+ i(dt/2)H by the
+    backend _cn_solver picks for the step's operator. R u and the relative
+    residual ||S u_new - rhs|| / ||rhs|| are computed matrix-free; every
+    step's residual is recorded and must meet 1e-10, else SolverError.
     """
     grid, dt, Nt = problem.grid, problem.dt, problem.time_steps
+    lam = 0.5j * dt
     u = problem.initial(eps).values.astype(complex).copy()
     times = [0.0]
     snapshots = {}
@@ -342,25 +383,29 @@ def solve(
     take_snapshots(0.0, u)
 
     time_dep = any(c.dt_evaluate is not None for c in (*problem.coeffs.c, problem.coeffs.V))
-    lu = None
-    S = R = None
+    factorizations = 0
     for m in range(Nt):
         t_half = (m + 0.5) * dt
-        if lu is None or time_dep:
+        if factorizations == 0 or time_dep:
             op = build_operator(problem.coeffs, eps, t_half, grid)
-            S, R = _cn_matrices(op, dt)
-            lu = spla.splu(S)
-        rhs = R @ u.ravel() + dt * problem.forcing_values(eps, t_half).ravel()
-        new = lu.solve(rhs)
+            backend, solve_step = _cn_solver(op, dt)
+            factorizations += 1
+            h_u = op.apply(u)
+        rhs = u + lam * h_u
+        if problem.forcing is not None:
+            rhs = rhs + dt * problem.forcing_values(eps, t_half)
+        new = solve_step(rhs)
+        # H u_new serves the residual and, while H is unchanged, the next R u
+        h_u = op.apply(new)
         rhs_norm = np.linalg.norm(rhs)
-        resid = np.linalg.norm(S @ new - rhs) / (rhs_norm if rhs_norm else 1.0)
+        resid = np.linalg.norm(new - lam * h_u - rhs) / (rhs_norm if rhs_norm else 1.0)
         residuals.append(float(resid))
         if resid > LINEAR_RESIDUAL_TOL:
             raise SolverError(
                 f"linear solve residual {resid:.3e} above {LINEAR_RESIDUAL_TOL} "
                 f"at step {m} (eps={eps})"
             )
-        u = new.reshape(grid.shape)
+        u = new
         t_new = (m + 1) * dt
         times.append(t_new)
         if record_norms:
@@ -374,6 +419,8 @@ def solve(
         snapshots=snapshots,
         residuals=residuals,
         final=GridFunction(grid, u),
+        backend=backend,
+        factorizations=factorizations,
     )
 
 

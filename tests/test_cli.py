@@ -3,14 +3,7 @@
 import numpy as np
 import pytest
 
-from regnets import (
-    ConfigError,
-    EpsGrid,
-    EpsNet,
-    GridFunction,
-    SpatialGrid,
-    io,
-)
+from regnets import ConfigError, EpsGrid, io
 from regnets.cli import main, parse_config, run, report
 
 
@@ -130,15 +123,17 @@ class TestRun:
         assert run(tmp_path / "nope.txt", out_dir=tmp_path / "res") == 2
 
     def test_unusable_geometry_exits_nonzero(self, tmp_path, capsys):
-        # eps far below grid resolution: the run aborts instead of silently
-        # producing an under-resolved mollifier
+        # eps far below grid resolution: the run aborts with a config error
+        # instead of silently producing an under-resolved mollifier
         text = (
             "experiment = free_example\ndim = 1\nhalf_width = 4\n"
             "points_per_axis = 64\nmollifier_exponent = 6\ntimes = 0.5\n"
-            "eps_grid = 0.001\n"
+            "eps_grid = 0.5,0.25,0.125,0.0625,0.03125,0.015625\n"
         )
         path = _write(tmp_path, text)
-        assert run(path, out_dir=tmp_path / "res") in (1, 2)
+        assert run(path, out_dir=tmp_path / "res") == 2
+        err = capsys.readouterr().err
+        assert "grid spacing 0.125 exceeds 0.5/8; need points_per_axis >= 128" in err
 
     def test_snapshot_time_beyond_T_exits_2(self, tmp_path, capsys):
         text = (
@@ -234,24 +229,3 @@ class TestIo:
         assert header == ["x", "z"]
         assert float(rows[0][0]) == value
         assert complex(rows[0][1]) == 1 + 2j
-
-    def test_eps_net_round_trip(self, tmp_path):
-        grid = SpatialGrid(1, 4.0, 64)
-        eps = EpsGrid([0.5, 0.4, 0.3, 0.25, 0.2, 0.125])
-        items = tuple(
-            GridFunction.from_profile(grid, lambda x, e=e: np.exp(-(x / e) ** 2))
-            for e in eps.values
-        )
-        net = EpsNet(eps=eps, items=items, label="demo")
-        io.save_eps_net(net, tmp_path / "net", label="demo")
-        loaded = io.load_eps_net(tmp_path / "net")
-        assert loaded.label == "demo"
-        assert loaded.eps.values == eps.values
-        for a, b in zip(loaded.items, items):
-            assert a.grid == grid
-            np.testing.assert_array_equal(a.values, b.values)
-
-    def test_load_eps_net_rejects_other_directories(self, tmp_path):
-        io.write_manifest(tmp_path / "manifest.txt", {"kind": "something_else"})
-        with pytest.raises(ConfigError, match="not an eps_net"):
-            io.load_eps_net(tmp_path)

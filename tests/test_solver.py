@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 import scipy.sparse.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -30,6 +31,7 @@ from regnets import (
     uniqueness_probe,
 )
 from regnets.asymptotics import loglog_fit
+from regnets.solver import _cn_matrices
 
 
 def _free_net(c0=1.0):
@@ -63,6 +65,67 @@ def _wobbling_coefficient(T):
             a * np.sin(2 * a * t) * np.sin(b * t) ** 2 + b * np.sin(a * t) ** 2 * np.sin(2 * b * t)
         ) * bump(grid),
     )
+
+
+def _sparse_lu_march(problem, eps):
+    """Reference march: sparse LU of S = I - i(dt/2)H, R = 2I - S, one LU per
+    solve unless a coefficient declares time dependence. Returns the final
+    state and the (t, l2, h1, h2) rows."""
+    grid, dt = problem.grid, problem.dt
+    time_dep = any(c.dt_evaluate is not None for c in (*problem.coeffs.c, problem.coeffs.V))
+
+    def row(t, vec):
+        gf = GridFunction(grid, vec.reshape(grid.shape))
+        return (t, norm_l2(gf), norm_hk(gf, 1), norm_hk(gf, 2))
+
+    u = problem.initial(eps).values.astype(complex).ravel()
+    rows = [row(0.0, u)]
+    lu = None
+    for m in range(problem.time_steps):
+        t_half = (m + 0.5) * dt
+        if lu is None or time_dep:
+            S = _cn_matrices(build_operator(problem.coeffs, eps, t_half, grid), dt)
+            R = 2.0 * sp.identity(S.shape[0], format="csc") - S
+            lu = scipy.sparse.linalg.splu(S)
+        u = lu.solve(R @ u + dt * problem.forcing_values(eps, t_half).ravel())
+        rows.append(row((m + 1) * dt, u))
+    return u.reshape(grid.shape), np.asarray(rows)
+
+
+def _backend_case(name):
+    """(problem, eps, expected backend) for the backend cross-check."""
+    bump_1d = lambda x: np.exp(-(x**2))  # noqa: E731
+    bump_2d = lambda x, y: np.exp(-(x**2 + y**2))  # noqa: E731
+    if name.startswith("2d"):
+        grid = SpatialGrid(2, 4.0, 32)
+        u0 = GridFunction.from_profile(grid, bump_2d)
+        shape = bump_2d(*grid.meshgrid())
+    else:
+        grid = SpatialGrid(1, 4.0, 512)
+        u0 = GridFunction.from_profile(grid, bump_1d)
+        shape = bump_1d(*grid.meshgrid())
+    c, V, forcing, backend = None, None, None, "tridiagonal"
+    if name == "1d_jump":
+        c, V = [mollified_jump_coefficient(0.5, 1.5, jump_at=0.3)], constant_coefficient(0.3)
+    elif name == "1d_log_time_c":
+        c = [log_time_coefficient(1.0, lambda x: 0.5 * bump_1d(x))]
+    elif name == "1d_time_dependent_V":
+        c = [spatial_coefficient(lambda x: 1.0 + 0.5 * np.cos(x))]
+        V = log_time_coefficient(0.0, bump_1d)
+    elif name == "1d_forced":
+        c = [spatial_coefficient(lambda x: 1.0 + 0.5 * np.cos(x))]
+        forcing = lambda e, t: t * shape  # noqa: E731
+    elif name == "2d_uniform_forced":
+        c, V = [constant_coefficient(1.0), constant_coefficient(0.7)], constant_coefficient(0.4)
+        forcing, backend = (lambda e, t: t * shape), "fft"
+    elif name == "2d_log_time_c":
+        c2 = log_time_coefficient(1.0, lambda x, y: 0.5 * bump_2d(x, y))
+        c, backend = [c2, c2], "sparse_lu"
+    problem = CauchyProblem(
+        grid=grid, coeffs=CoefficientNet(c=c, V=V, c0=0.5), initial=lambda e: u0,
+        forcing=forcing, T=0.5 if grid.dim == 1 else 0.05, time_steps=50 if grid.dim == 1 else 10,
+    )
+    return problem, 1.0 / 64, backend
 
 
 class TestCoefficients:
@@ -262,23 +325,35 @@ class TestCrankNicolson:
         ],
         ids=["constant", "spatial", "jump", "custom_time_dependent", "time_dependent_V"],
     )
-    def test_factorizations_follow_declared_time_dependence(self, monkeypatch, c, V, factorizations):
-        calls = []
-        splu = scipy.sparse.linalg.splu
-
-        def counting_splu(*args, **kwargs):
-            calls.append(1)
-            return splu(*args, **kwargs)
-
-        monkeypatch.setattr(scipy.sparse.linalg, "splu", counting_splu)
+    def test_factorizations_follow_declared_time_dependence(self, c, V, factorizations):
         grid = SpatialGrid(1, 4.0, 256)
         u0 = GridFunction.from_profile(grid, lambda x: np.exp(-(x**2)))
         problem = CauchyProblem(
             grid=grid, coeffs=CoefficientNet(c=(c,), V=V, c0=0.5),
             initial=lambda e: u0, forcing=None, T=0.5, time_steps=50,
         )
-        solve(problem, 0.5)
-        assert len(calls) == factorizations
+        res = solve(problem, 0.5)
+        assert res.backend == "tridiagonal"
+        assert res.factorizations == factorizations
+
+    @pytest.mark.parametrize(
+        "case",
+        ["1d_jump", "1d_log_time_c", "1d_time_dependent_V", "1d_forced",
+         "2d_uniform_forced", "2d_log_time_c"],
+    )
+    def test_backend_matches_sparse_lu_reference(self, case):
+        problem, eps, backend = _backend_case(case)
+        res = solve(problem, eps)
+        ref_final, ref_rows = _sparse_lu_march(problem, eps)
+        assert res.backend == backend
+        final_gap = np.max(np.abs(res.final.values - ref_final))
+        assert final_gap <= 1e-11 * np.max(np.abs(ref_final))
+        row_gap = np.max(np.abs(res.norm_history - ref_rows), axis=0)
+        assert np.all(row_gap <= 1e-11 * np.max(np.abs(ref_rows), axis=0))
+        if problem.forcing is None:
+            l2 = res.norm_history[:, 1]
+            assert np.max(np.abs(np.diff(l2))) <= 1e-12 * l2[0]
+        assert max(res.residuals) <= 1e-10
 
     def test_time_dependent_coefficient_is_not_frozen(self):
         # the wobbling coefficient is 1 at the instants t = 0, 0.37T, T;
