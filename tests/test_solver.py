@@ -93,39 +93,33 @@ def _sparse_lu_march(problem, eps):
 
 
 def _backend_case(name):
-    """(problem, eps, expected backend) for the backend cross-check."""
-    bump_1d = lambda x: np.exp(-(x**2))  # noqa: E731
-    bump_2d = lambda x, y: np.exp(-(x**2 + y**2))  # noqa: E731
-    if name.startswith("2d"):
-        grid = SpatialGrid(2, 4.0, 32)
-        u0 = GridFunction.from_profile(grid, bump_2d)
-        shape = bump_2d(*grid.meshgrid())
-    else:
-        grid = SpatialGrid(1, 4.0, 512)
-        u0 = GridFunction.from_profile(grid, bump_1d)
-        shape = bump_1d(*grid.meshgrid())
-    c, V, forcing, backend = None, None, None, "tridiagonal"
-    if name == "1d_jump":
-        c, V = [mollified_jump_coefficient(0.5, 1.5, jump_at=0.3)], constant_coefficient(0.3)
-    elif name == "1d_log_time_c":
-        c = [log_time_coefficient(1.0, lambda x: 0.5 * bump_1d(x))]
-    elif name == "1d_time_dependent_V":
-        c = [spatial_coefficient(lambda x: 1.0 + 0.5 * np.cos(x))]
-        V = log_time_coefficient(0.0, bump_1d)
-    elif name == "1d_forced":
-        c = [spatial_coefficient(lambda x: 1.0 + 0.5 * np.cos(x))]
-        forcing = lambda e, t: t * shape  # noqa: E731
-    elif name == "2d_uniform_forced":
-        c, V = [constant_coefficient(1.0), constant_coefficient(0.7)], constant_coefficient(0.4)
-        forcing, backend = (lambda e, t: t * shape), "fft"
-    elif name == "2d_log_time_c":
-        c2 = log_time_coefficient(1.0, lambda x, y: 0.5 * bump_2d(x, y))
-        c, backend = [c2, c2], "sparse_lu"
-    problem = CauchyProblem(
+    """The problem of one backend cross-check case, solved at eps = 1/64."""
+    dim = 2 if name.startswith("2d") else 1
+    grid = SpatialGrid(dim, 4.0, 32 if dim == 2 else 512)
+
+    def bump(*x):
+        return np.exp(-sum(xk**2 for xk in x))
+
+    shape = bump(*grid.meshgrid())
+    wavy = spatial_coefficient(lambda x: 1.0 + 0.5 * np.cos(x))
+    log_c = log_time_coefficient(1.0, lambda *x: 0.5 * bump(*x))
+    c, V, forcing = {
+        "1d_jump": ([mollified_jump_coefficient(0.5, 1.5, jump_at=0.3)], constant_coefficient(0.3), None),
+        "1d_log_time_c": ([log_c], None, None),
+        "1d_time_dependent_V": ([wavy], log_time_coefficient(0.0, bump), None),
+        "1d_forced": ([wavy], None, lambda e, t: t * shape),
+        "2d_uniform_forced": (
+            [constant_coefficient(1.0), constant_coefficient(0.7)],
+            constant_coefficient(0.4),
+            lambda e, t: t * shape,
+        ),
+        "2d_log_time_c": ([log_c, log_c], None, None),
+    }[name]
+    u0 = GridFunction.from_profile(grid, bump)
+    return CauchyProblem(
         grid=grid, coeffs=CoefficientNet(c=c, V=V, c0=0.5), initial=lambda e: u0,
-        forcing=forcing, T=0.5 if grid.dim == 1 else 0.05, time_steps=50 if grid.dim == 1 else 10,
+        forcing=forcing, T=0.5 if dim == 1 else 0.05, time_steps=50 if dim == 1 else 10,
     )
-    return problem, 1.0 / 64, backend
 
 
 class TestCoefficients:
@@ -337,12 +331,18 @@ class TestCrankNicolson:
         assert res.factorizations == factorizations
 
     @pytest.mark.parametrize(
-        "case",
-        ["1d_jump", "1d_log_time_c", "1d_time_dependent_V", "1d_forced",
-         "2d_uniform_forced", "2d_log_time_c"],
+        "case, backend",
+        [
+            ("1d_jump", "tridiagonal"),
+            ("1d_log_time_c", "tridiagonal"),
+            ("1d_time_dependent_V", "tridiagonal"),
+            ("1d_forced", "tridiagonal"),
+            ("2d_uniform_forced", "fft"),
+            ("2d_log_time_c", "sparse_lu"),
+        ],
     )
-    def test_backend_matches_sparse_lu_reference(self, case):
-        problem, eps, backend = _backend_case(case)
+    def test_backend_matches_sparse_lu_reference(self, case, backend):
+        problem, eps = _backend_case(case), 1.0 / 64
         res = solve(problem, eps)
         ref_final, ref_rows = _sparse_lu_march(problem, eps)
         assert res.backend == backend
