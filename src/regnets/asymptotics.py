@@ -10,7 +10,7 @@ proofs of the quantified statements they mirror.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -62,9 +62,8 @@ class EpsNet:
 
     eps: EpsGrid
     items: tuple
-    label: str = ""
 
-    def __init__(self, eps: EpsGrid, items: Sequence, label: str = ""):
+    def __init__(self, eps: EpsGrid, items: Sequence):
         items = tuple(items)
         if len(items) != len(eps):
             raise RegnetsError("items length must match eps grid length")
@@ -73,13 +72,12 @@ class EpsNet:
             raise RegnetsError("grid-valued items must share one SpatialGrid")
         object.__setattr__(self, "eps", eps)
         object.__setattr__(self, "items", items)
-        object.__setattr__(self, "label", label)
 
     def __len__(self):
         return len(self.items)
 
-    def map_scalar(self, fn, label: str = "") -> "EpsNet":
-        return EpsNet(self.eps, [fn(it) for it in self.items], label or self.label)
+    def map_scalar(self, fn) -> "EpsNet":
+        return EpsNet(self.eps, [fn(it) for it in self.items])
 
 
 @dataclass(frozen=True)
@@ -97,11 +95,6 @@ class AsymptoticFit:
     verdict: str
     order: int | None = None
     n_points: int = 0
-    detail: dict = field(default_factory=dict)
-
-    @property
-    def is_moderate(self) -> bool:
-        return self.verdict == "moderate"
 
 
 def _seminorm_fn(seminorm):

@@ -1,10 +1,12 @@
 """Experiment runner: `regnets run <config>` and `regnets report <dir>`.
 
 Configs are flat key = value text files, one experiment per file, validated
-against a typed schema before anything runs. A run writes a results
-directory containing a copy of the config, CSV tables, a checks table and a
-manifest recording versions, the seed and timings. Exit codes: 0 all checks
-pass, 1 at least one check failed, 2 schema violation or unusable input.
+against a typed schema before anything runs; keys with a fixed set of values
+(coefficient_family, data, density) are checked against that set. Nothing in
+a run is random. A run writes a results directory containing a copy of the
+config, CSV tables, a checks table and a manifest recording versions and
+timings. Exit codes: 0 all checks pass, 1 at least one check failed, 2
+schema violation or unusable input.
 """
 
 from __future__ import annotations
@@ -78,11 +80,11 @@ _TYPES = {
     "floats": _parse_floats,
 }
 
-# key -> (type name, required?, default). Units: lengths in box units,
-# times in the equation's time unit, eps dimensionless.
+# key -> (type name or tuple of allowed strings, required?, default).
+# Units: lengths in box units, times in the equation's time unit, eps
+# dimensionless.
 _COMMON_SCHEMA = {
     "experiment": ("str", True, None),
-    "seed": ("int", False, 0),
 }
 
 _GRID_SCHEMA = {
@@ -102,7 +104,7 @@ _SCHEMAS = {
         **_EPS_SCHEMA,
         "mollifier_exponent": ("float", False, 0.0),
         "atoms": ("str", False, ""),  # "x1:w1;x2:w2" (1d) or "x,y:w;..." (2d)
-        "density": ("str", False, "none"),  # none | uniform | gaussian
+        "density": (("none", "uniform", "gaussian"), False, "none"),
         "density_params": ("floats", False, ()),
         "density_weight": ("float", False, 0.0),
         "association_tol": ("float", False, 1e-2),
@@ -110,10 +112,10 @@ _SCHEMAS = {
     "schrodinger_sweep": {
         **_GRID_SCHEMA,
         **_EPS_SCHEMA,
-        "coefficient_family": ("str", True, None),  # constant | log_time | jump
+        "coefficient_family": (("constant", "log_time", "jump"), True, None),
         "coefficient_base": ("float", False, 1.0),
         "potential": ("float", False, 0.0),
-        "data": ("str", False, "dirac"),  # dirac | bump
+        "data": (("dirac", "bump"), False, "dirac"),
         "mollifier_exponent": ("float", False, 0.0),
         "T": ("float", True, None),
         "time_steps": ("int", True, None),
@@ -130,7 +132,7 @@ _SCHEMAS = {
         "mollifier_exponent": ("float", False, 0.0),
         "coefficient_base": ("float", False, 1.0),
         "potential": ("float", False, 0.0),
-        "data": ("str", False, "gaussian"),
+        "data": (("gaussian", "bump"), False, "gaussian"),
         "T": ("float", True, None),
         "time_steps": ("int", True, None),
         "tolerance": ("float", False, 1e-3),
@@ -185,6 +187,14 @@ def parse_config(path) -> dict:
         if key not in schema:
             raise ConfigError(f"unknown key {key!r} for experiment {name}", line=lines[key])
         typename = schema[key][0]
+        if isinstance(typename, tuple):
+            if value not in typename:
+                raise ConfigError(
+                    f"key {key!r}: {value!r} is not one of {', '.join(typename)}",
+                    line=lines[key],
+                )
+            config[key] = value
+            continue
         try:
             config[key] = _TYPES[typename](value)
         except ValueError:
@@ -223,7 +233,7 @@ def _parse_atoms(text: str, dim: int):
 # checks: list of (name, passed, detail); tables: {filename: (header, rows)}
 
 
-def _run_selftest(config, out, workers):
+def _run_selftest(config, workers):
     checks = []
     grid = SpatialGrid(1, 4.0, 8192)
     x = GridFunction.from_profile(grid, lambda x: x)
@@ -255,7 +265,7 @@ def _run_selftest(config, out, workers):
     return checks, tables
 
 
-def _run_sqrt_measure(config, out, workers):
+def _run_sqrt_measure(config, workers):
     dim = config["dim"]
     grid = SpatialGrid(dim, config["half_width"], config["points_per_axis"])
     spec = MollifierSpec(dim=dim, exponent=config["mollifier_exponent"])
@@ -278,8 +288,8 @@ def _run_sqrt_measure(config, out, workers):
         phi = sqrt_root(h)
         phi_items.append(phi)
         sq_items.append(phi.abs2())
-    sqrt_net = EpsNet(eps_grid, phi_items, label="sqrt")
-    squared_net = EpsNet(eps_grid, sq_items, label="sqrt_squared")
+    sqrt_net = EpsNet(eps_grid, phi_items)
+    squared_net = EpsNet(eps_grid, sq_items)
 
     center = 0.0 if dim == 1 else (0.0,) * dim
     tests = [bump(grid, center, 1.0), linear_bump(grid, center, 1.5)]
@@ -317,21 +327,19 @@ def _run_sqrt_measure(config, out, workers):
 
 
 def _coefficient_net(config, grid):
-    family = config["coefficient_family"] if "coefficient_family" in config else "constant"
+    family = config.get("coefficient_family", "constant")
     base = config["coefficient_base"]
-    if family == "constant":
-        c = constant_coefficient(base)
-    elif family == "log_time":
+    if family == "log_time":
         c = log_time_coefficient(base, lambda x: 0.1 * np.cos(np.pi * x / grid.half_width))
     elif family == "jump":
         c = mollified_jump_coefficient(base, 2.0 * base, 0.0)
     else:
-        raise ConfigError(f"unknown coefficient_family {family!r}")
+        c = constant_coefficient(base)
     V = constant_coefficient(config.get("potential", 0.0))
     return CoefficientNet(c=(c,) * grid.dim, V=V, c0=0.5 * base)
 
 
-def _run_schrodinger_sweep(config, out, workers):
+def _run_schrodinger_sweep(config, workers):
     grid = SpatialGrid(config["dim"], config["half_width"], config["points_per_axis"])
     coeffs = _coefficient_net(config, grid)
     eps_grid = config["eps_grid"]
@@ -339,22 +347,17 @@ def _run_schrodinger_sweep(config, out, workers):
 
     if config["data"] == "dirac":
         initial = lambda e: scaled_mollifier(spec, e, grid)
-    elif config["data"] == "bump":
+    else:
         b = bump(grid, 0.0 if grid.dim == 1 else (0.0,) * grid.dim, 1.0).gridfunc
         initial = lambda e: mollify_gridfunction(b, spec, e)
-    else:
-        raise ConfigError(f"unknown data kind {config['data']!r}")
 
     problem = CauchyProblem(
         grid=grid, coeffs=coeffs, initial=initial, forcing=None,
         T=config["T"], time_steps=config["time_steps"],
     )
 
-    def one(eps):
-        return solve(problem, eps, record_norms=True)
-
     with ThreadPoolExecutor(max_workers=workers) as pool:
-        results = list(pool.map(one, eps_grid))
+        results = list(pool.map(lambda eps: solve(problem, eps), eps_grid))
 
     rows = []
     sup_h1 = []
@@ -380,7 +383,7 @@ def _run_schrodinger_sweep(config, out, workers):
     return checks, tables
 
 
-def _run_free_example(config, out, workers):
+def _run_free_example(config, workers):
     dim = config["dim"]
     grid = SpatialGrid(dim, config["half_width"], config["points_per_axis"])
     spec = MollifierSpec(dim=dim, exponent=config["mollifier_exponent"])
@@ -425,7 +428,7 @@ def _run_free_example(config, out, workers):
     return checks, tables
 
 
-def _run_coherence(config, out, workers):
+def _run_coherence(config, workers):
     grid = SpatialGrid(config["dim"], config["half_width"], config["points_per_axis"])
     coeffs = _coefficient_net(config, grid)
     spec = MollifierSpec(dim=grid.dim, exponent=config["mollifier_exponent"])
@@ -433,10 +436,8 @@ def _run_coherence(config, out, workers):
         g0 = GridFunction.from_profile(
             grid, lambda *c: np.exp(-sum(x**2 for x in c))
         )
-    elif config["data"] == "bump":
-        g0 = bump(grid, 0.0 if grid.dim == 1 else (0.0,) * grid.dim, 1.0).gridfunc
     else:
-        raise ConfigError(f"unknown data kind {config['data']!r}")
+        g0 = bump(grid, 0.0 if grid.dim == 1 else (0.0,) * grid.dim, 1.0).gridfunc
     result = coherence_experiment(
         grid, coeffs, g0, None, spec, config["eps_grid"],
         T=config["T"], time_steps=config["time_steps"],
@@ -454,7 +455,7 @@ def _run_coherence(config, out, workers):
     return checks, tables
 
 
-def _run_association(config, out, workers):
+def _run_association(config, workers):
     if not 0.0 <= config["snapshot_time"] <= config["T"]:
         raise ConfigError(
             f"snapshot_time {config['snapshot_time']} is outside [0, T] with T={config['T']}"
@@ -496,7 +497,7 @@ _RUNNERS = {
 # entry points
 
 
-def run(config_path, out_dir=None, workers: int = 1, seed: int | None = None) -> int:
+def run(config_path, out_dir=None, workers: int = 1) -> int:
     try:
         config = parse_config(config_path)
     except ConfigError as exc:
@@ -504,8 +505,6 @@ def run(config_path, out_dir=None, workers: int = 1, seed: int | None = None) ->
         print(f"config error{loc}: {exc}", file=sys.stderr)
         return 2
 
-    if seed is None:
-        seed = config.get("seed", 0)
     name = config["experiment"]
     out = Path(out_dir) if out_dir else Path(f"results_{name}")
     out.mkdir(parents=True, exist_ok=True)
@@ -513,7 +512,7 @@ def run(config_path, out_dir=None, workers: int = 1, seed: int | None = None) ->
 
     t0 = time.perf_counter()
     try:
-        checks, tables = _RUNNERS[name](config, out, workers)
+        checks, tables = _RUNNERS[name](config, workers)
     except ConfigError as exc:
         loc = f" (line {exc.line})" if exc.line else ""
         print(f"config error{loc}: {exc}", file=sys.stderr)
@@ -537,7 +536,6 @@ def run(config_path, out_dir=None, workers: int = 1, seed: int | None = None) ->
     io.write_manifest(
         out / "manifest.txt",
         io.base_manifest(
-            seed=seed,
             experiment=name,
             elapsed_seconds=f"{elapsed:.3f}",
             n_checks=len(checks),
@@ -563,7 +561,6 @@ def report(results_dir) -> int:
         return 2
     print(f"experiment: {manifest.get('experiment', '?')}")
     print(f"created:    {manifest.get('created', '?')}")
-    print(f"seed:       {manifest.get('seed', '?')}")
     print(f"elapsed:    {manifest.get('elapsed_seconds', '?')} s")
     checks_path = results_dir / "checks.csv"
     if checks_path.exists():
@@ -586,14 +583,13 @@ def main(argv=None) -> int:
     p_run = sub.add_parser("run", help="execute the experiment described by a config file")
     p_run.add_argument("config", help="path to a flat key = value config file")
     p_run.add_argument("--workers", type=int, default=1, metavar="N")
-    p_run.add_argument("--seed", type=int, default=None, metavar="S")
     p_run.add_argument("--out", default=None, metavar="DIR")
     p_rep = sub.add_parser("report", help="summarize a results directory")
     p_rep.add_argument("directory")
     args = parser.parse_args(argv)
 
     if args.command == "run":
-        return run(args.config, out_dir=args.out, workers=args.workers, seed=args.seed)
+        return run(args.config, out_dir=args.out, workers=args.workers)
     return report(args.directory)
 
 

@@ -71,14 +71,15 @@ def mass_check(snapshot: ProbabilityDensitySnapshot, tol: float = 1e-8) -> dict:
     }
 
 
-def wrap_flag(grid: SpatialGrid, t: float, eps: float, decades: float = 8.0) -> bool:
+def wrap_flag(grid: SpatialGrid, t: float, eps: float) -> bool:
     """True when the dispersed wave packet may have wrapped around the box.
 
     Heuristic envelope: spectral content of sqrt(rho_eps) decays like
-    exp(-eps |xi|), so frequencies above xi_eff = decades*ln(10)/eps carry
-    negligible amplitude and the envelope reaches |x| ~ 2 t xi_eff.
+    exp(-eps |xi|), so frequencies above xi_eff = 8 ln(10)/eps, where that
+    factor is 1e-8, carry negligible amplitude and the envelope reaches
+    |x| ~ 2 t xi_eff.
     """
-    xi_eff = decades * np.log(10.0) / eps
+    xi_eff = 8.0 * np.log(10.0) / eps
     return bool(2.0 * abs(t) * xi_eff > grid.half_width)
 
 
@@ -119,7 +120,7 @@ def vague_convergence_check(
     if t == 0.0:
         raise RegnetsError("vague-convergence check requires t != 0")
     n = grid.dim
-    pairings = {psi.name + repr(sorted(psi.params.items())): [] for psi in tests}
+    pairings = [[] for _ in tests]
     masses = []
     bound_reports = []
     for eps in eps_grid:
@@ -128,14 +129,12 @@ def vague_convergence_check(
         snap = ProbabilityDensitySnapshot.from_state(u_t, t, eps)
         masses.append(snap.mass)
         bound_reports.append(dispersive_bound_check(u_t, spec, eps, t))
-        for psi in tests:
-            key = psi.name + repr(sorted(psi.params.items()))
-            pairings[key].append(abs(pair(snap.density, psi)))
+        for row, psi in zip(pairings, tests):
+            row.append(abs(pair(snap.density, psi)))
     eps_arr = np.asarray(eps_grid.values)
     per_test = []
-    for psi in tests:
-        key = psi.name + repr(sorted(psi.params.items()))
-        vals = np.asarray(pairings[key])
+    for row, psi in zip(pairings, tests):
+        vals = np.asarray(row)
         slope, _, rms, _ = loglog_fit(eps_arr, vals)
         decay = -slope
         per_test.append(

@@ -72,15 +72,15 @@ class SpatialGrid:
         xi.setflags(write=False)
         return (xi,) * self.dim
 
-    def require_resolves(self, scale: float, factor: float = 8.0):
-        """Raise ResolutionError unless spacing <= scale / factor."""
-        if self.spacing > scale / factor + 1e-15:
-            needed = 2.0 * self.half_width * factor / scale
+    def require_resolves(self, scale: float):
+        """Raise ResolutionError unless spacing <= scale / 8."""
+        if self.spacing > scale / 8.0 + 1e-15:
+            needed = 2.0 * self.half_width * 8.0 / scale
             m_min = 8
             while m_min < needed:
                 m_min *= 2
             raise ResolutionError(
-                f"grid spacing {self.spacing:.3g} exceeds {scale:.3g}/{factor:g}; "
+                f"grid spacing {self.spacing:.3g} exceeds {scale:.3g}/8; "
                 f"need points_per_axis >= {m_min} at half_width {self.half_width:g}",
                 required_points=m_min,
             )

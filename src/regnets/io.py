@@ -38,22 +38,19 @@ def read_manifest(path) -> dict:
     return entries
 
 
-def base_manifest(seed: int | None = None, **extra) -> dict:
-    """Common manifest header: package versions, timestamp, seed."""
+def base_manifest(**extra) -> dict:
+    """Common manifest header: package versions and timestamp."""
     import scipy
 
     from . import __version__
 
-    entries = {
+    return {
         "created": time.strftime("%Y-%m-%dT%H:%M:%S"),
         "regnets_version": __version__,
         "numpy_version": np.__version__,
         "scipy_version": scipy.__version__,
+        **extra,
     }
-    if seed is not None:
-        entries["seed"] = seed
-    entries.update(extra)
-    return entries
 
 
 def write_csv(path, header: list, rows) -> None:

@@ -8,7 +8,7 @@ from pairings across the sweep.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -75,41 +75,37 @@ def coherence_experiment(
     eps-rate form the verdict.
     """
     snapshot_times = [T / 2.0, T]
-
-    def as_problem(g_init, f_gen, gr, nt):
-        return CauchyProblem(
-            grid=gr,
-            coeffs=coeffs,
-            initial=lambda e: g_init,
-            forcing=f_gen,
-            T=T,
-            time_steps=nt,
-        )
-
-    def forcing_gen_for(gr, f_profile):
-        if f_profile is None:
-            return None
-        return lambda e, t: f_profile(t, gr)
-
-    # reference and its self-convergence certificate
-    ref = solve(
-        as_problem(g0, forcing_gen_for(grid, f0), grid, time_steps),
-        eps=1.0,
-        snapshot_times=snapshot_times,
-        record_norms=False,
+    reference = CauchyProblem(
+        grid=grid,
+        coeffs=coeffs,
+        initial=lambda e: g0,
+        forcing=None if f0 is None else lambda e, t: f0(t, grid),
+        T=T,
+        time_steps=time_steps,
     )
     fine_grid = SpatialGrid(grid.dim, grid.half_width, grid.points_per_axis * 2)
     g0_fine = _spectral_prolong(g0, fine_grid)
-    ref_fine = solve(
-        as_problem(g0_fine, forcing_gen_for(fine_grid, f0), fine_grid, time_steps * 2),
-        eps=1.0,
-        snapshot_times=snapshot_times,
-        record_norms=False,
+    certificate = replace(
+        reference,
+        grid=fine_grid,
+        initial=lambda e: g0_fine,
+        forcing=None if f0 is None else lambda e, t: f0(t, fine_grid),
+        time_steps=time_steps * 2,
     )
-    gap = max(
-        norm_hk(_restrict(ref_fine.snapshots[t], grid) - ref.snapshots[t], 1)
-        for t in snapshot_times
+    mollified = replace(
+        reference,
+        initial=lambda e: mollify_gridfunction(g0, spec, e),
+        forcing=None if f0 is None else lambda e, t: mollify_gridfunction(
+            GridFunction(grid, f0(t, grid)), spec, e
+        ).values,
     )
+
+    def snapshots(problem, eps):
+        return solve(problem, eps, snapshot_times=snapshot_times, record_norms=False).snapshots
+
+    ref = snapshots(reference, 1.0)
+    ref_fine = snapshots(certificate, 1.0)
+    gap = max(norm_hk(_restrict(ref_fine[t], grid) - ref[t], 1) for t in snapshot_times)
     if gap > reference_tol / 10.0:
         raise ReferenceError_(
             f"reference self-convergence gap {gap:.3e} exceeds {reference_tol / 10.0:.3e}; "
@@ -118,23 +114,8 @@ def coherence_experiment(
 
     diffs = []
     for eps in eps_grid:
-        g_eps = mollify_gridfunction(g0, spec, eps)
-        if f0 is None:
-            f_gen = None
-        else:
-            f_gen = lambda e, t, _eps=eps: mollify_gridfunction(
-                GridFunction(grid, f0(t, grid)), spec, _eps
-            ).values
-        res = solve(
-            as_problem(g_eps, f_gen, grid, time_steps),
-            eps=eps,
-            snapshot_times=snapshot_times,
-            record_norms=False,
-        )
-        d = max(
-            norm_hk(res.snapshots[t] - ref.snapshots[t], 1) for t in snapshot_times
-        )
-        diffs.append(d)
+        u = snapshots(mollified, eps)
+        diffs.append(max(norm_hk(u[t] - ref[t], 1) for t in snapshot_times))
 
     slope, _, rms, _ = loglog_fit(np.asarray(eps_grid.values), np.asarray(diffs))
     monotone = all(

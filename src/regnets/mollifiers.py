@@ -1,6 +1,6 @@
-"""Mollifier catalog and scaled mollifier sampling.
+"""The mollifier profile and scaled mollifier sampling.
 
-Built-in family: rho(x) = c (1 + |x|^2)^(-m/2) with m > n, normalized so
+The profile is rho(x) = c (1 + |x|^2)^(-m/2) with m > n, normalized so
 that the integral over R^n is one. This profile is positive everywhere,
 smooth with bounded derivatives, and its tail decays like |x|^(-m), so it
 has tail exponent m0 = m. The case m = n + 1 is the canonical choice; for
@@ -10,7 +10,7 @@ integrable.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import integrate
@@ -29,52 +29,38 @@ def cauchy_power_normalization(n: int, m: float) -> float:
 
 @dataclass(frozen=True)
 class MollifierSpec:
-    """Positive unit-mass profile with power-law tail exponent m0.
+    """The profile rho = c (1 + |x|^2)^(-m/2) on R^dim, with tail exponent m0 = m.
 
-    family 'cauchy_power' uses the built-in profile above; 'custom' takes a
-    radial callable profile(r) (already normalized) plus an explicit m0.
+    exponent is m; 0 means the default m = n + 1. m > n is checked here, so
+    a spec that exists can be sampled.
     """
 
     dim: int
-    family: str = "cauchy_power"
-    exponent: float = 0.0  # m for cauchy_power; 0 means default m = n + 1
-    custom_profile: object = None
-    custom_m0: float = 0.0
-    params: dict = field(default_factory=dict)
+    exponent: float = 0.0
 
     def __post_init__(self):
-        if self.family not in ("cauchy_power", "custom"):
-            raise RegnetsError(f"unknown mollifier family {self.family!r}")
-        if self.family == "custom" and self.custom_profile is None:
-            raise RegnetsError("custom family requires custom_profile")
+        if self.m <= self.dim:
+            raise RegnetsError(f"exponent m={self.m} must exceed dimension n={self.dim}")
 
     @property
     def m(self) -> float:
-        if self.family != "cauchy_power":
-            raise RegnetsError("exponent m only defined for cauchy_power")
         return self.exponent if self.exponent else self.dim + 1.0
 
     @property
     def tail_exponent(self) -> float:
         """m0 such that rho(x) >= C |x|^(-m0) for |x| >= 1 with some C > 0."""
-        if self.family == "cauchy_power":
-            return self.m
-        return self.custom_m0
+        return self.m
 
     @property
     def normalization(self) -> float:
-        if self.family == "cauchy_power":
-            return cauchy_power_normalization(self.dim, self.m)
-        return 1.0
+        return cauchy_power_normalization(self.dim, self.m)
 
     # -- profile evaluation ------------------------------------------------
 
     def radial(self, r):
         """rho as a function of |x|."""
         r = np.asarray(r, dtype=float)
-        if self.family == "cauchy_power":
-            return self.normalization * (1.0 + r**2) ** (-self.m / 2.0)
-        return self.custom_profile(r)
+        return self.normalization * (1.0 + r**2) ** (-self.m / 2.0)
 
     def evaluate(self, *coords):
         r = np.sqrt(sum(np.asarray(c, dtype=float) ** 2 for c in coords))
@@ -86,15 +72,13 @@ class MollifierSpec:
         return self.evaluate(*scaled) / eps**self.dim
 
     def derivative_sup_norm(self, alpha) -> float:
-        """sup |d^alpha rho| for |alpha| <= 2, cauchy_power only.
+        """sup |d^alpha rho| for |alpha| <= 2.
 
         Closed forms: the gradient and Hessian of (1+|x|^2)^(-m/2) are
         elementary; the sup of each component is found on a dense radial
         sample (the profiles are radial times monomials, with maxima at
         moderate radius).
         """
-        if self.family != "cauchy_power":
-            raise RegnetsError("analytic derivatives only for cauchy_power")
         alpha = tuple(int(a) for a in np.atleast_1d(alpha))
         if len(alpha) != self.dim or min(alpha) < 0 or sum(alpha) > 2:
             raise RegnetsError(f"unsupported multi-index {alpha}")
@@ -138,16 +122,14 @@ class MollifierSpec:
         val, _ = integrate.quad(lambda r: r * self.radial(r), 0.0, np.inf, limit=200)
         return 2.0 * np.pi * val
 
-    def tail_bound_report(self, radii=None) -> dict:
-        """Check rho(r) >= C r^(-m0) on sampled radii; record the best C.
+    def tail_bound_report(self) -> dict:
+        """Check rho(r) >= C r^(-m0) at r = 2^0 .. 2^7; record the best C.
 
         C = 1 (the idealized bound starting at radius 1) is unattainable for
         any unit-mass radially decreasing profile, so the certificate is the
         measured positive constant together with the exponent.
         """
-        if radii is None:
-            radii = [2.0**j for j in range(0, 8)]
-        radii = np.asarray(radii, dtype=float)
+        radii = 2.0 ** np.arange(8)
         ratios = self.radial(radii) * radii**self.tail_exponent
         return {
             "radii": radii,

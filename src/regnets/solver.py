@@ -23,7 +23,7 @@ from scipy.integrate import trapezoid
 from scipy.linalg import lapack
 
 from .asymptotics import EpsGrid, EpsNet, check_log_type, loglog_fit
-from .errors import PositivityError, RegnetsError, SolverError
+from .errors import GridError, PositivityError, RegnetsError, SolverError
 from .grid import GridFunction, SpatialGrid, norm_h_minus1, norm_hk, norm_l2
 
 LINEAR_RESIDUAL_TOL = 1e-10
@@ -141,10 +141,10 @@ class CoefficientNet:
         self._check_fields([ck.evaluate(eps, t, grid) for ck in self.c], eps, t)
 
     def _check_fields(self, c_fields: Sequence[np.ndarray], eps: float, t: float):
-        """Raise PositivityError if any evaluated c_k dips below c0."""
+        """Raise PositivityError if any evaluated c_k dips below c0 or is NaN."""
         for k, vals in enumerate(c_fields):
             low = vals.min()
-            if low < self.c0 - 1e-12:
+            if not low >= self.c0 - 1e-12:
                 raise PositivityError(
                     f"c_{k} dips below c0={self.c0} at (eps={eps}, t={t}): min={low}"
                 )
@@ -226,6 +226,8 @@ def build_operator(
     c_fields = [ck.evaluate(eps, t, grid) for ck in coeffs.c]
     coeffs._check_fields(c_fields, eps, t)
     v_field = coeffs.V.evaluate(eps, t, grid)
+    if not np.all(np.isfinite(v_field)):
+        raise GridError(f"potential V is not finite at (eps={eps}, t={t})")
     return FluxFormOperator(grid, c_fields, v_field)
 
 
@@ -400,7 +402,7 @@ def solve(
         rhs_norm = np.linalg.norm(rhs)
         resid = np.linalg.norm(new - lam * h_u - rhs) / (rhs_norm if rhs_norm else 1.0)
         residuals.append(float(resid))
-        if resid > LINEAR_RESIDUAL_TOL:
+        if not resid <= LINEAR_RESIDUAL_TOL:
             raise SolverError(
                 f"linear solve residual {resid:.3e} above {LINEAR_RESIDUAL_TOL} "
                 f"at step {m} (eps={eps})"
@@ -428,16 +430,11 @@ def solve(
 # audits
 
 
-def energy_audit(
-    result: SolveResult,
-    problem: CauchyProblem,
-    eps: float,
-    kappa: float = 1.0,
-) -> dict:
+def energy_audit(result: SolveResult, problem: CauchyProblem, eps: float) -> dict:
     """Compare sup_t ||u||_H1^2 with the growth bound built from the data.
 
-    The bound realizes the a priori estimate with all O-constants set to
-    kappa (default 1): rhs = kappa * C2 * exp(C1) * (||g||_H1^2 +
+    The bound realizes the a priori estimate with all O-constants set to 1:
+    rhs = C2 * exp(C1) * (||g||_H1^2 +
     int_0^T (||f||_L2^2 + ||d_t f||_{H-1}^2) dt), with
     C2 = T (c0 + ||V||_inf) and C1 = (T / c0) (max_k ||d_t c_k||_inf +
     ||d_t V||_inf). The sup norms run over the solve's own times
@@ -475,7 +472,7 @@ def energy_audit(
     sup_v = max(float(np.max(np.abs(V.evaluate(eps, t, grid)))) for t in v_times)
     C1 = (T / problem.coeffs.c0) * (sup_dtc + sup_dtv)
     C2 = T * (problem.coeffs.c0 + sup_v)
-    rhs = kappa * max(C2, 1e-300) * np.exp(C1) * (g_h1sq + f_int)
+    rhs = max(C2, 1e-300) * np.exp(C1) * (g_h1sq + f_int)
     return {
         "eps": eps,
         "lhs_sup_h1_sq": lhs,
@@ -483,8 +480,6 @@ def energy_audit(
         "ratio": float(lhs / rhs) if rhs > 0 else np.inf,
         "C1": C1,
         "C2": C2,
-        "kappa": kappa,
-        "note": "O-constants in the growth bound are unspecified; ratio reported, not asserted",
     }
 
 
@@ -494,7 +489,7 @@ def solution_sup_h1_net(problem: CauchyProblem, eps_grid: EpsGrid) -> EpsNet:
     for eps in eps_grid:
         res = solve(problem, eps)
         sups.append(float(np.max(res.norm_history[:, 2])))
-    return EpsNet(eps_grid, sups, label="sup_t H1 of solution net")
+    return EpsNet(eps_grid, sups)
 
 
 def uniqueness_probe(

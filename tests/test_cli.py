@@ -13,7 +13,28 @@ def _write(tmp_path, text, name="config.txt"):
     return path
 
 
-SELFTEST = "experiment = selftest\nseed = 7\n"
+SELFTEST = "experiment = selftest\n"
+
+EPS6 = "eps_grid = 0.5,0.25,0.125,0.0625,0.03125,0.015625\n"
+
+SWEEP = (
+    "experiment = schrodinger_sweep\ndim = 1\nhalf_width = 4\npoints_per_axis = 128\n"
+    "coefficient_family = constant\n"
+    + EPS6
+    + "T = 0.1\ntime_steps = 10\n"
+)
+
+SQRT_MEASURE = (
+    "experiment = sqrt_measure\ndim = 1\nhalf_width = 4\npoints_per_axis = 128\n"
+    + EPS6
+    + "atoms = 0:1\n"
+)
+
+COHERENCE = (
+    "experiment = coherence\ndim = 1\nhalf_width = 4\npoints_per_axis = 128\n"
+    + EPS6
+    + "T = 0.1\ntime_steps = 10\n"
+)
 
 
 # ---------------------------------------------------------------------------
@@ -22,13 +43,17 @@ SELFTEST = "experiment = selftest\nseed = 7\n"
 
 class TestParseConfig:
     def test_valid_config_with_defaults(self, tmp_path):
-        cfg = parse_config(_write(tmp_path, SELFTEST))
-        assert cfg["experiment"] == "selftest"
-        assert cfg["seed"] == 7
+        cfg = parse_config(_write(tmp_path, COHERENCE))
+        assert cfg["experiment"] == "coherence"
+        assert cfg["points_per_axis"] == 128
+        assert cfg["data"] == "gaussian"
+        assert cfg["tolerance"] == 1e-3
 
     def test_comments_and_blank_lines_ignored(self, tmp_path):
-        text = "# a comment\n\nexperiment = selftest\n   \n# trailing\n"
-        assert parse_config(_write(tmp_path, text))["seed"] == 0
+        text = "# a comment\n\n" + COHERENCE.replace("dim = 1\n", "dim = 1\n   \n") + "# trailing\n"
+        assert parse_config(_write(tmp_path, text)) == parse_config(
+            _write(tmp_path, COHERENCE, name="plain.txt")
+        )
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(ConfigError, match="not found"):
@@ -41,7 +66,7 @@ class TestParseConfig:
         assert exc.value.line == 2
 
     def test_duplicate_key_reports_line_number(self, tmp_path):
-        path = _write(tmp_path, "experiment = selftest\nseed = 1\nseed = 2\n")
+        path = _write(tmp_path, "experiment = free_example\ndim = 1\ndim = 2\n")
         with pytest.raises(ConfigError) as exc:
             parse_config(path)
         assert exc.value.line == 3
@@ -59,7 +84,7 @@ class TestParseConfig:
         assert exc.value.line == 2
 
     def test_untypable_value(self, tmp_path):
-        path = _write(tmp_path, "experiment = selftest\nseed = soon\n")
+        path = _write(tmp_path, "experiment = free_example\ndim = two\n")
         with pytest.raises(ConfigError, match="cannot parse") as exc:
             parse_config(path)
         assert exc.value.line == 2
@@ -110,14 +135,30 @@ class TestRun:
         assert rows and all(r[1] == "1" for r in rows)
         manifest = io.read_manifest(out / "manifest.txt")
         assert manifest["experiment"] == "selftest"
-        assert manifest["seed"] == "7"
+        assert "seed" not in manifest
         assert manifest["n_failed"] == "0"
         assert "[PASS] selftest" in capsys.readouterr().out
 
     def test_schema_violation_exits_2(self, tmp_path, capsys):
-        path = _write(tmp_path, "experiment = selftest\nseed = soon\n")
+        path = _write(tmp_path, "experiment = free_example\ndim = two\n")
         assert run(path, out_dir=tmp_path / "res") == 2
         assert "line 2" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "text, bad_line",
+        [
+            (SWEEP.replace("coefficient_family = constant", "coefficient_family = wobbly"), 5),
+            (SWEEP + "data = gaussian\n", 9),
+            (COHERENCE + "data = dirac\n", 8),
+            (SQRT_MEASURE + "density = triangle\n", 7),
+        ],
+        ids=["coefficient_family", "sweep_data", "coherence_data", "density"],
+    )
+    def test_value_outside_enumeration_exits_2(self, tmp_path, capsys, text, bad_line):
+        out = tmp_path / "res"
+        assert run(_write(tmp_path, text), out_dir=out) == 2
+        assert f"line {bad_line}" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_missing_config_exits_2(self, tmp_path):
         assert run(tmp_path / "nope.txt", out_dir=tmp_path / "res") == 2
@@ -188,8 +229,10 @@ class TestMain:
     def test_main_run_dispatch(self, tmp_path):
         path = _write(tmp_path, SELFTEST)
         out = tmp_path / "res"
-        assert main(["run", str(path), "--out", str(out), "--seed", "3"]) == 0
-        assert io.read_manifest(out / "manifest.txt")["seed"] == "3"
+        assert main(["run", str(path), "--out", str(out), "--workers", "2"]) == 0
+        manifest = io.read_manifest(out / "manifest.txt")
+        assert manifest["experiment"] == "selftest"
+        assert "seed" not in manifest
 
     def test_main_report_dispatch(self, tmp_path):
         assert main(["report", str(tmp_path / "missing")]) == 2
@@ -217,9 +260,9 @@ class TestIo:
         assert exc.value.line == 2
 
     def test_base_manifest_records_versions(self):
-        entries = io.base_manifest(seed=5)
+        entries = io.base_manifest()
         assert entries["numpy_version"] == np.__version__
-        assert entries["seed"] == 5
+        assert "seed" not in entries
         assert "created" in entries
 
     def test_csv_round_trip_preserves_float_precision(self, tmp_path):

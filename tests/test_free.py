@@ -130,6 +130,16 @@ class TestVagueConvergence:
         for p in rep["tests"]:
             assert p["decay_exponent"] >= 0.5 - 0.1
 
+    def test_identical_test_functions_get_their_own_pairings(self):
+        spec = MollifierSpec(dim=1, exponent=6.0)
+        grid = SpatialGrid(1, 16.0, 2048)
+        eg = EpsGrid.geometric(0.5, 0.125, 6)
+        rep = vague_convergence_check(spec, eg, grid, 0.5, [bump(grid, 0.0, 1.0)] * 2)
+        first, second = rep["tests"]
+        assert len(first["pairings"]) == len(second["pairings"]) == 6
+        assert first["pairings"] == second["pairings"]
+        assert first["decay_exponent"] == second["decay_exponent"]
+
     def test_rejects_t_zero(self):
         spec = MollifierSpec(dim=1, exponent=6.0)
         grid = SpatialGrid(1, 16.0, 2048)

@@ -87,13 +87,10 @@ class TestMollifierSpec:
         with pytest.raises(RegnetsError):
             scaled_mollifier(spec, 1.5, grid)
 
-    def test_unknown_family_rejected(self):
-        with pytest.raises(RegnetsError):
-            MollifierSpec(dim=1, family="triangle")
-
-    def test_custom_family_requires_profile(self):
-        with pytest.raises(RegnetsError):
-            MollifierSpec(dim=1, family="custom")
+    @pytest.mark.parametrize("dim, exponent", [(1, 1.0), (1, 0.5), (2, 2.0)])
+    def test_exponent_must_exceed_dimension_at_construction(self, dim, exponent):
+        with pytest.raises(RegnetsError, match=f"exponent m={exponent} must exceed dimension n={dim}"):
+            MollifierSpec(dim=dim, exponent=exponent)
 
 
 class TestDerivativeSupNorms:

@@ -12,9 +12,11 @@ from regnets import (
     Coefficient,
     CoefficientNet,
     EpsGrid,
+    GridError,
     GridFunction,
     PositivityError,
     RegnetsError,
+    SolverError,
     SpatialGrid,
     build_operator,
     coercivity_check,
@@ -136,6 +138,27 @@ class TestCoefficients:
         )
         with pytest.raises(PositivityError):
             net.check_positivity(0.5, 0.0, grid)
+
+    @pytest.mark.parametrize("bad", ["nan_c", "nan_V"])
+    def test_nan_coefficient_is_rejected_by_name(self, bad):
+        grid = SpatialGrid(1, 1.0, 64)
+        holed = spatial_coefficient(lambda x: np.where(np.abs(x) < 0.1, np.nan, 1.0))
+        if bad == "nan_c":
+            net = CoefficientNet(c=(holed,), V=None, c0=0.5)
+        else:
+            net = CoefficientNet(c=(constant_coefficient(1.0),), V=holed, c0=0.5)
+        problem = CauchyProblem(
+            grid=grid, coeffs=net, initial=lambda e: GridFunction.zeros(grid), forcing=None,
+            T=0.1, time_steps=10,
+        )
+        if bad == "nan_c":
+            with pytest.raises(PositivityError, match="c_0 dips below c0=0.5"):
+                net.check_positivity(0.5, 0.0, grid)
+            with pytest.raises(PositivityError, match="c_0 dips below c0=0.5"):
+                solve(problem, 0.5)
+        else:
+            with pytest.raises(GridError, match=r"potential V is not finite at \(eps=0.5, t=0.005\)"):
+                solve(problem, 0.5)
 
     def test_log_time_family_is_log_type(self):
         grid = SpatialGrid(1, 1.0, 64)
@@ -394,6 +417,15 @@ class TestCrankNicolson:
             return solve(problem, 1.0).final.values
 
         np.testing.assert_allclose(run(2.0), 2.0 * run(1.0), atol=1e-11)
+
+    def test_nan_residual_raises_solver_error(self):
+        grid = SpatialGrid(1, 1.0, 64)
+        problem = CauchyProblem(
+            grid=grid, coeffs=_free_net(), initial=lambda e: GridFunction.zeros(grid),
+            forcing=lambda e, t: np.full(grid.shape, np.nan), T=0.1, time_steps=10,
+        )
+        with pytest.raises(SolverError, match="residual nan above 1e-10 at step 0"):
+            solve(problem, 1.0, record_norms=False)
 
     def test_residuals_tracked(self):
         grid = SpatialGrid(1, 1.0, 64)
