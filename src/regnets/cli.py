@@ -3,10 +3,11 @@
 Configs are flat key = value text files, one experiment per file, validated
 against a typed schema before anything runs; keys with a fixed set of values
 (coefficient_family, data, density) are checked against that set. Nothing in
-a run is random. A run writes a results directory containing a copy of the
-config, CSV tables, a checks table and a manifest recording versions and
-timings. Exit codes: 0 all checks pass, 1 at least one check failed, 2
-schema violation or unusable input.
+a run is random. A run that finishes writes a results directory containing
+a copy of the config, CSV tables, a checks table and a manifest recording
+versions and timings; a run that fails writes none. Exit codes: 0 all
+checks pass, 1 at least one check failed, 2 schema violation or unusable
+input.
 """
 
 from __future__ import annotations
@@ -23,16 +24,14 @@ import numpy as np
 from . import io
 from .asymptotics import EpsGrid, EpsNet, classify_moderate, loglog_fit
 from .errors import BoxTooSmallError, ConfigError, RegnetsError, ResolutionError
-from .free import free_evolve, sqrt_delta_data, vague_convergence_check
+from .free import free_evolve, vague_convergence_check
 from .grid import (
     GridFunction,
     SpatialGrid,
     bump,
     linear_bump,
-    norm_hk,
     norm_l2,
     oscillatory_bump,
-    pair,
 )
 from .lab import association_of_solution, coherence_experiment, mollify_gridfunction
 from .measures import (
@@ -506,10 +505,6 @@ def run(config_path, out_dir=None, workers: int = 1) -> int:
         return 2
 
     name = config["experiment"]
-    out = Path(out_dir) if out_dir else Path(f"results_{name}")
-    out.mkdir(parents=True, exist_ok=True)
-    shutil.copy(config_path, out / "config.txt")
-
     t0 = time.perf_counter()
     try:
         checks, tables = _RUNNERS[name](config, workers)
@@ -526,6 +521,9 @@ def run(config_path, out_dir=None, workers: int = 1) -> int:
         return 1
     elapsed = time.perf_counter() - t0
 
+    out = Path(out_dir) if out_dir else Path(f"results_{name}")
+    out.mkdir(parents=True, exist_ok=True)
+    shutil.copy(config_path, out / "config.txt")
     for fname, (header, rows) in tables.items():
         io.write_csv(out / fname, header, rows)
     io.write_csv(

@@ -23,25 +23,28 @@ from .grid import (
     norm_linf,
     pair,
 )
-from .mollifiers import MollifierSpec, scaled_mollifier
+from .mollifiers import MollifierSpec, _sample_scaled
 
 
 def free_evolve(u0: GridFunction, t: float) -> GridFunction:
-    grid = u0.grid
-    xi_sq = sum(xi**2 for xi in np.ix_(*grid.wavenumbers()))
+    """exp(i t Laplacian) u0: the symbol exp(-i t |xi|^2) is a product of per-axis phases."""
     F = np.fft.fftn(u0.values)
-    out = np.fft.ifftn(np.exp(-1j * t * xi_sq) * F)
-    return GridFunction(grid, out)
+    for xi in np.ix_(*u0.grid.wavenumbers()):
+        # phase first: with FMA, complex products depend on operand order
+        np.multiply(np.exp(-1j * t * xi**2), F, out=F)
+    return GridFunction(u0.grid, np.fft.ifftn(F))
 
 
 def sqrt_delta_data(spec: MollifierSpec, eps: float, grid: SpatialGrid) -> GridFunction:
-    """sqrt(rho_eps): the regularized square root of delta as initial data."""
+    """sqrt(rho_eps): the regularized square root of delta as initial data.
+
+    Sampled directly as c^(1/2) eps^(-n/2) (1 + |x/eps|^2)^(-m/4).
+    """
     if spec.tail_exponent <= 2 * spec.dim:
         raise RegnetsError(
             "square-root evolution needs an integrable sqrt(rho): tail exponent > 2n"
         )
-    rho = scaled_mollifier(spec, eps, grid)
-    return GridFunction(grid, np.sqrt(rho.values.real))
+    return _sample_scaled(spec, eps, grid, power=0.5)
 
 
 @dataclass(frozen=True)

@@ -1,8 +1,9 @@
-"""Uniform periodic grids, complex grid functions, discrete norms and pairings.
+"""Uniform periodic grids, grid functions, discrete norms and pairings.
 
 Everything else in the package computes on these. Grids live on the box
 [-L, L)^n with n in {1, 2} and a power-of-two number of points per axis,
-so spectral differentiation and Sobolev norms come from plain FFTs.
+so spectral differentiation and Sobolev norms come from plain FFTs. Grid
+functions store real samples as float64 and complex ones as complex128.
 """
 
 from __future__ import annotations
@@ -87,17 +88,20 @@ class SpatialGrid:
 
 
 class GridFunction:
-    """Complex-valued function sampled on a SpatialGrid. Immutable."""
+    """Function sampled on a SpatialGrid. Immutable.
+
+    Real input is stored as float64 and complex input as complex128, in a
+    read-only copy of the caller's array.
+    """
 
     __slots__ = ("grid", "values")
 
     def __init__(self, grid: SpatialGrid, values: np.ndarray):
-        values = np.asarray(values, dtype=complex)
+        values = np.array(values, dtype=float if np.isrealobj(values) else complex)
         if values.shape != grid.shape:
             raise GridError(f"values shape {values.shape} != grid shape {grid.shape}")
         if not np.all(np.isfinite(values)):
             raise GridError("values contain NaN or Inf")
-        values = values.copy()
         values.setflags(write=False)
         object.__setattr__(self, "grid", grid)
         object.__setattr__(self, "values", values)

@@ -19,7 +19,7 @@ from scipy import integrate
 from .asymptotics import EpsGrid, EpsNet, loglog_fit
 from .errors import BoxTooSmallError, PositivityError, RegnetsError
 from .grid import GridFunction, SpatialGrid, TestFunction, pair, periodic_convolve
-from .mollifiers import MollifierSpec, sampled_mass, scaled_mollifier
+from .mollifiers import MollifierSpec
 
 
 @dataclass(frozen=True)
@@ -185,12 +185,12 @@ def mollify_measure(
     if mu.dim != grid.dim:
         raise RegnetsError("measure and grid dimension mismatch")
     grid.require_resolves(eps)
-    coords = grid.meshgrid()
+    x = grid.axis_coords()
     h = np.zeros(grid.shape)
     for loc, w in mu.atoms:
-        shifted = [c - li for c, li in zip(coords, loc)]
-        h += w * spec.evaluate_scaled(eps, *shifted)
+        h += w * spec.evaluate_scaled(eps, *np.ix_(*(x - li for li in loc)))
     if mu.density is not None and mu.density_weight > 0:
+        coords = grid.meshgrid()
         dens = mu.density.evaluate(grid.dim, *coords)
         rho = spec.evaluate_scaled(eps, *coords)
         h += mu.density_weight * periodic_convolve(dens, rho, grid).real

@@ -59,17 +59,23 @@ class MollifierSpec:
 
     def radial(self, r):
         """rho as a function of |x|."""
-        r = np.asarray(r, dtype=float)
-        return self.normalization * (1.0 + r**2) ** (-self.m / 2.0)
+        return self.of_r2(np.asarray(r, dtype=float) ** 2)
+
+    def of_r2(self, r2, power: float = 1.0):
+        """rho**power as a function of |x|^2: c^p (1 + |x|^2)^(-m p / 2)."""
+        return self.normalization**power * (1.0 + r2) ** (-self.m * power / 2.0)
 
     def evaluate(self, *coords):
-        r = np.sqrt(sum(np.asarray(c, dtype=float) ** 2 for c in coords))
-        return self.radial(r)
+        return self.of_r2(sum(np.asarray(c, dtype=float) ** 2 for c in coords))
 
-    def evaluate_scaled(self, eps: float, *coords):
-        """rho_eps(x) = eps^(-n) rho(x / eps)."""
-        scaled = [np.asarray(c, dtype=float) / eps for c in coords]
-        return self.evaluate(*scaled) / eps**self.dim
+    def evaluate_scaled(self, eps: float, *coords, power: float = 1.0):
+        """rho_eps(x)**power with rho_eps(x) = eps^(-n) rho(x / eps).
+
+        coords may be open axes (np.ix_); they broadcast to the full grid
+        only in |x/eps|^2.
+        """
+        r2 = sum((np.asarray(c, dtype=float) / eps) ** 2 for c in coords)
+        return self.of_r2(r2, power) / eps ** (self.dim * power)
 
     def derivative_sup_norm(self, alpha) -> float:
         """sup |d^alpha rho| for |alpha| <= 2.
@@ -147,15 +153,20 @@ class MollifierSpec:
         return {"mass": mass, "tail": tail, "passes": ok}
 
 
-def scaled_mollifier(spec: MollifierSpec, eps: float, grid: SpatialGrid) -> GridFunction:
-    """Sample rho_eps = eps^(-n) rho(./eps); requires spacing <= eps/8."""
+def _sample_scaled(spec: MollifierSpec, eps: float, grid: SpatialGrid, power: float):
+    """Sample rho_eps**power on the grid; requires eps in (0, 1] and spacing <= eps/8."""
     if not (0.0 < eps <= 1.0):
         raise RegnetsError(f"eps must lie in (0, 1], got {eps}")
     if grid.dim != spec.dim:
         raise RegnetsError(f"grid dim {grid.dim} != mollifier dim {spec.dim}")
     grid.require_resolves(eps)
-    vals = spec.evaluate_scaled(eps, *grid.meshgrid())
-    return GridFunction(grid, vals)
+    axes = np.ix_(*(grid.axis_coords(),) * grid.dim)
+    return GridFunction(grid, spec.evaluate_scaled(eps, *axes, power=power))
+
+
+def scaled_mollifier(spec: MollifierSpec, eps: float, grid: SpatialGrid) -> GridFunction:
+    """Sample rho_eps = eps^(-n) rho(./eps); requires spacing <= eps/8."""
+    return _sample_scaled(spec, eps, grid, power=1.0)
 
 
 def sampled_mass(u: GridFunction) -> float:

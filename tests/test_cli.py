@@ -183,9 +183,18 @@ class TestRun:
             "T = 0.1\ntime_steps = 10\nsnapshot_time = 0.2\n"
         )
         path = _write(tmp_path, text)
-        assert run(path, out_dir=tmp_path / "res") == 2
+        out = tmp_path / "res"
+        assert run(path, out_dir=out) == 2
         err = capsys.readouterr().err
         assert "config error" in err and "snapshot_time 0.2" in err
+        assert not out.exists()
+
+    def test_sqrt_measure_without_atoms_or_density_exits_2(self, tmp_path, capsys):
+        path = _write(tmp_path, SQRT_MEASURE.replace("atoms = 0:1\n", ""))
+        out = tmp_path / "res"
+        assert run(path, out_dir=out) == 2
+        assert "sqrt_measure needs atoms and/or a density" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_determinism_same_config_same_tables(self, tmp_path):
         path = _write(tmp_path, SELFTEST)

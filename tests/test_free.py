@@ -19,6 +19,7 @@ from regnets import (
     mass_check,
     norm_l2,
     norm_linf,
+    scaled_mollifier,
     sqrt_delta_data,
     vague_convergence_check,
 )
@@ -55,6 +56,22 @@ class TestFreeEvolve:
         back = free_evolve(free_evolve(u0, 0.9), -0.9)
         np.testing.assert_allclose(back.values, u0.values, atol=1e-13)
 
+    @pytest.mark.parametrize("dim, points, rtol", [(1, 4096, 0.0), (2, 256, 1e-11)])
+    def test_per_axis_phases_match_full_symbol(self, dim, points, rtol):
+        # exp(-i t |xi|^2) applied as one full-grid symbol; at t = 10 the
+        # phase reaches 5e4 in 2-D, so the two forms agree only to roundoff
+        grid = SpatialGrid(dim, 8.0, points)
+        rng = np.random.default_rng(5)
+        u0 = GridFunction(grid, rng.standard_normal(grid.shape) + 1j * rng.standard_normal(grid.shape))
+        t = 10.0
+        xi_sq = sum(xi**2 for xi in np.ix_(*grid.wavenumbers()))
+        ref = np.fft.ifftn(np.exp(-1j * t * xi_sq) * np.fft.fftn(u0.values))
+        out = free_evolve(u0, t).values
+        if rtol == 0.0:
+            np.testing.assert_array_equal(out, ref)
+        else:
+            assert np.max(np.abs(out - ref)) <= rtol * np.max(np.abs(ref))
+
     @given(t1=st.floats(-1, 1), t2=st.floats(-1, 1), seed=st.integers(0, 10**6))
     @settings(max_examples=15, deadline=None)
     def test_group_law_random_states(self, t1, t2, seed):
@@ -73,6 +90,17 @@ class TestSqrtDeltaData:
         grid = SpatialGrid(1, 64.0, 32768)
         u0 = sqrt_delta_data(spec, 0.25, grid)
         assert norm_l2(u0) == pytest.approx(1.0, abs=1e-9)
+
+    @pytest.mark.parametrize(
+        "dim, exponent, points, half_width, eps",
+        [(1, 6.0, 32768, 64.0, 0.25), (1, 3.0, 8192, 8.0, 0.37), (2, 8.0, 512, 8.0, 0.25), (2, 5.0, 256, 4.0, 1.0)],
+    )
+    def test_square_is_the_scaled_mollifier(self, dim, exponent, points, half_width, eps):
+        spec = MollifierSpec(dim=dim, exponent=exponent)
+        grid = SpatialGrid(dim, half_width, points)
+        sq = sqrt_delta_data(spec, eps, grid).values ** 2
+        rho = scaled_mollifier(spec, eps, grid).values
+        np.testing.assert_allclose(sq, rho, rtol=8 * np.finfo(float).eps, atol=0.0)
 
     def test_requires_integrable_sqrt(self):
         spec = MollifierSpec(dim=1, exponent=2.0)  # m = 2n: sqrt not L1

@@ -89,10 +89,25 @@ class TestGridFunction:
 
     def test_nonfinite_rejected(self):
         g = SpatialGrid(1, 1.0, 16)
-        vals = np.zeros(16)
-        vals[3] = np.nan
-        with pytest.raises(GridError):
-            GridFunction(g, vals)
+        for dtype in (float, complex):
+            vals = np.zeros(16, dtype=dtype)
+            vals[3] = np.nan
+            with pytest.raises(GridError):
+                GridFunction(g, vals)
+
+    @pytest.mark.parametrize(
+        "given, stored",
+        [(np.float64, np.float64), (np.int64, np.float64), (np.complex128, np.complex128)],
+    )
+    def test_values_keep_realness_in_a_read_only_copy(self, given, stored):
+        g = SpatialGrid(1, 1.0, 16)
+        vals = np.arange(16).astype(given)
+        u = GridFunction(g, vals)
+        assert u.values.dtype == stored
+        assert not u.values.flags.writeable
+        assert not np.shares_memory(u.values, vals)
+        vals[0] = 7
+        assert u.values[0] == 0
 
     def test_algebra_and_abs2(self):
         g = SpatialGrid(1, 1.0, 16)

@@ -17,6 +17,7 @@ from regnets import (
     classify_moderate,
     sampled_mass,
     scaled_mollifier,
+    sqrt_delta_data,
 )
 
 
@@ -75,17 +76,29 @@ class TestMollifierSpec:
         expected = spec.radial(np.abs(x) / eps) / eps
         np.testing.assert_allclose(rho.values.real, expected, rtol=1e-12)
 
+    # sqrt_delta_data samples through the same checks as scaled_mollifier;
+    # exponent 4 keeps sqrt(rho) integrable so that only those checks fire
     def test_resolution_guard(self):
-        spec = MollifierSpec(dim=1)
+        spec = MollifierSpec(dim=1, exponent=4.0)
         grid = SpatialGrid(1, 4.0, 64)
-        with pytest.raises(ResolutionError):
-            scaled_mollifier(spec, 0.01, grid)
+        for sample in (scaled_mollifier, sqrt_delta_data):
+            with pytest.raises(ResolutionError, match="need points_per_axis >= 8192"):
+                sample(spec, 0.01, grid)
 
     def test_eps_range_guard(self):
-        spec = MollifierSpec(dim=1)
+        spec = MollifierSpec(dim=1, exponent=4.0)
         grid = SpatialGrid(1, 4.0, 1024)
-        with pytest.raises(RegnetsError):
-            scaled_mollifier(spec, 1.5, grid)
+        for sample in (scaled_mollifier, sqrt_delta_data):
+            for eps in (1.5, 0.0, -0.25):
+                with pytest.raises(RegnetsError, match=r"eps must lie in \(0, 1\]"):
+                    sample(spec, eps, grid)
+
+    @pytest.mark.parametrize("sample", [scaled_mollifier, sqrt_delta_data])
+    def test_dimension_mismatch_guard(self, sample):
+        spec = MollifierSpec(dim=2, exponent=6.0)
+        grid = SpatialGrid(1, 4.0, 1024)
+        with pytest.raises(RegnetsError, match="grid dim 1 != mollifier dim 2"):
+            sample(spec, 0.5, grid)
 
     @pytest.mark.parametrize("dim, exponent", [(1, 1.0), (1, 0.5), (2, 2.0)])
     def test_exponent_must_exceed_dimension_at_construction(self, dim, exponent):
