@@ -16,7 +16,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import RegnetsError
-from .grid import GridFunction, norm_hk, norm_l2, norm_linf
+from .grid import GridFunction, norm_l2, norm_linf
 
 RESIDUAL_THRESHOLD = 0.1  # log-units rms accepted as a clean power law
 
@@ -76,9 +76,6 @@ class EpsNet:
     def __len__(self):
         return len(self.items)
 
-    def map_scalar(self, fn) -> "EpsNet":
-        return EpsNet(self.eps, [fn(it) for it in self.items])
-
 
 @dataclass(frozen=True)
 class AsymptoticFit:
@@ -97,20 +94,13 @@ class AsymptoticFit:
     n_points: int = 0
 
 
-def _seminorm_fn(seminorm):
-    if callable(seminorm):
-        return seminorm
-    if seminorm == "l2":
-        return norm_l2
-    if seminorm == "linf":
-        return norm_linf
-    if isinstance(seminorm, tuple) and seminorm[0] == "hk":
-        return lambda u: norm_hk(u, seminorm[1])
-    raise RegnetsError(f"unknown seminorm {seminorm!r}")
+_SEMINORMS = {"l2": norm_l2, "linf": norm_linf}
 
 
-def _net_values(net: EpsNet, seminorm) -> np.ndarray:
-    fn = _seminorm_fn(seminorm)
+def _net_values(net: EpsNet, seminorm: str) -> np.ndarray:
+    if seminorm not in _SEMINORMS:
+        raise RegnetsError(f"unknown seminorm {seminorm!r}; expected 'l2' or 'linf'")
+    fn = _SEMINORMS[seminorm]
     vals = []
     for it in net.items:
         if isinstance(it, GridFunction):
@@ -137,7 +127,7 @@ def loglog_fit(eps: np.ndarray, values: np.ndarray):
     return float(coef[0]), float(coef[1]), float(np.sqrt(np.mean(resid**2))), n
 
 
-def classify_moderate(net: EpsNet, seminorm="l2") -> AsymptoticFit:
+def classify_moderate(net: EpsNet, seminorm: str = "l2") -> AsymptoticFit:
     """Fit log seminorm vs log(1/eps); 'moderate' iff the power law is clean."""
     vals = _net_values(net, seminorm)
     slope, intercept, rms, n = loglog_fit(np.asarray(net.eps.values), vals)
@@ -150,7 +140,7 @@ def classify_moderate(net: EpsNet, seminorm="l2") -> AsymptoticFit:
     return AsymptoticFit(slope, intercept, rms, "inconclusive", n_points=n)
 
 
-def classify_negligible(net: EpsNet, seminorm="l2", q_max: int = 1) -> AsymptoticFit:
+def classify_negligible(net: EpsNet, seminorm: str = "l2", q_max: int = 1) -> AsymptoticFit:
     """Certificate of decay at least eps^q_max on the tested range.
 
     Passes iff the fitted slope is <= -q_max + 0.1 with a clean power law.

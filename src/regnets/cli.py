@@ -1,13 +1,13 @@
 """Experiment runner: `regnets run <config>` and `regnets report <dir>`.
 
 Configs are flat key = value text files, one experiment per file, validated
-against a typed schema before anything runs; keys with a fixed set of values
-(coefficient_family, data, density) are checked against that set. Nothing in
-a run is random. A run that finishes writes a results directory containing
-a copy of the config, CSV tables, a checks table and a manifest recording
-versions and timings; a run that fails writes none. Exit codes: 0 all
-checks pass, 1 at least one check failed, 2 schema violation or unusable
-input.
+against a typed schema (dim in {1, 2}, typed atom lists, enumerated keys)
+before anything runs. Nothing in a run is random. A run that finishes writes
+a results directory containing a copy of the config, CSV tables, a checks
+table and a manifest recording versions and timings; a run that fails writes
+none. Exit codes: 0 all checks pass, 1 a check failed or the run failed, 2
+schema violation or unusable input (atoms and density weights that are not
+a probability measure, scales the grid or box cannot hold).
 """
 
 from __future__ import annotations
@@ -44,7 +44,7 @@ from .measures import (
     mollify_measure,
     sqrt_root,
 )
-from .mollifiers import MollifierSpec, scaled_mollifier
+from .mollifiers import MollifierSpec, sampled_mass, scaled_mollifier
 from .solver import (
     CauchyProblem,
     CoefficientNet,
@@ -54,16 +54,6 @@ from .solver import (
     solve,
 )
 
-EXPERIMENTS = (
-    "selftest",
-    "sqrt_measure",
-    "schrodinger_sweep",
-    "free_example",
-    "coherence",
-    "association",
-)
-
-
 # ---------------------------------------------------------------------------
 # config parsing and schema
 
@@ -72,22 +62,35 @@ def _parse_floats(s):
     return tuple(float(v) for v in s.split(",") if v.strip())
 
 
+def _parse_dim(s):
+    dim = int(s)
+    if dim not in (1, 2):
+        raise ValueError(f"dim must be 1 or 2, got {dim}")
+    return dim
+
+
+def _parse_atoms(s):
+    """'x:w;...' (1d) or 'x,y:w;...' (2d) -> ((coords, weight), ...)."""
+    atoms = []
+    for part in s.split(";") if s else ():
+        pos, _, w = part.partition(":")
+        atoms.append((tuple(float(c) for c in pos.split(",")), float(w)))
+    return tuple(atoms)
+
+
 _TYPES = {
     "int": int,
     "float": float,
-    "str": str,
     "floats": _parse_floats,
+    "dim": _parse_dim,
+    "atoms": _parse_atoms,
 }
 
 # key -> (type name or tuple of allowed strings, required?, default).
 # Units: lengths in box units, times in the equation's time unit, eps
 # dimensionless.
-_COMMON_SCHEMA = {
-    "experiment": ("str", True, None),
-}
-
 _GRID_SCHEMA = {
-    "dim": ("int", True, None),
+    "dim": ("dim", True, None),
     "half_width": ("float", True, None),
     "points_per_axis": ("int", True, None),
 }
@@ -102,7 +105,7 @@ _SCHEMAS = {
         **_GRID_SCHEMA,
         **_EPS_SCHEMA,
         "mollifier_exponent": ("float", False, 0.0),
-        "atoms": ("str", False, ""),  # "x1:w1;x2:w2" (1d) or "x,y:w;..." (2d)
+        "atoms": ("atoms", False, ()),
         "density": (("none", "uniform", "gaussian"), False, "none"),
         "density_params": ("floats", False, ()),
         "density_weight": ("float", False, 0.0),
@@ -147,6 +150,8 @@ _SCHEMAS = {
     },
 }
 
+EXPERIMENTS = tuple(_SCHEMAS)
+
 
 def parse_config(path) -> dict:
     """Parse and validate a flat key = value config file.
@@ -179,7 +184,7 @@ def parse_config(path) -> dict:
             f"unknown experiment {name!r}; expected one of {', '.join(EXPERIMENTS)}",
             line=lines["experiment"],
         )
-    schema = {**_COMMON_SCHEMA, **_SCHEMAS[name]}
+    schema = {"experiment": (EXPERIMENTS, True, None), **_SCHEMAS[name]}
 
     config = {}
     for key, value in raw.items():
@@ -214,19 +219,6 @@ def parse_config(path) -> dict:
     return config
 
 
-def _parse_atoms(text: str, dim: int):
-    atoms = []
-    if not text:
-        return atoms
-    for part in text.split(";"):
-        pos, _, w = part.partition(":")
-        coords = tuple(float(c) for c in pos.split(","))
-        if len(coords) != dim:
-            raise ConfigError(f"atom {part!r} has {len(coords)} coords, dim is {dim}")
-        atoms.append((coords if dim == 2 else coords[0], float(w)))
-    return atoms
-
-
 # ---------------------------------------------------------------------------
 # experiment drivers; each returns (checks, csv_tables)
 # checks: list of (name, passed, detail); tables: {filename: (header, rows)}
@@ -240,7 +232,7 @@ def _run_selftest(config, workers):
     checks.append(("l2_norm_of_x", abs(norm_l2(x) - exact) < 1e-2, f"{norm_l2(x):.6f}"))
     spec = MollifierSpec(dim=1, exponent=4.0)
     rho = scaled_mollifier(spec, 0.25, grid)
-    mass = float(np.sum(rho.values.real) * grid.cell_volume)
+    mass = sampled_mass(rho)
     checks.append(("mollifier_mass", abs(mass - 1.0) < 1e-3, f"{mass:.6f}"))
     u0 = GridFunction.from_profile(grid, lambda x: np.exp(-(x**2)))
     u1 = free_evolve(u0, 0.3)
@@ -269,7 +261,7 @@ def _run_sqrt_measure(config, workers):
     grid = SpatialGrid(dim, config["half_width"], config["points_per_axis"])
     spec = MollifierSpec(dim=dim, exponent=config["mollifier_exponent"])
     eps_grid = config["eps_grid"]
-    atoms = _parse_atoms(config["atoms"], dim)
+    atoms = config["atoms"]
     density = None
     weight = 0.0
     if config["density"] != "none":
@@ -279,7 +271,10 @@ def _run_sqrt_measure(config, workers):
         weight = config["density_weight"]
     if not atoms and density is None:
         raise ConfigError("sqrt_measure needs atoms and/or a density")
-    measure = Measure(atoms=tuple(atoms), density=density, density_weight=weight, dim=dim)
+    try:
+        measure = Measure(atoms=atoms, density=density, density_weight=weight, dim=dim)
+    except RegnetsError as exc:
+        raise ConfigError(f"atoms/density: {exc}") from exc
 
     phi_items, sq_items = [], []
     for eps in eps_grid:
@@ -297,16 +292,14 @@ def _run_sqrt_measure(config, workers):
     sweep = lower_bound_sweep(measure, spec, eps_grid, grid, K_radius)
     slope_ok = abs(sweep["slope"] - sweep["target_exponent"]) <= 0.15
 
+    # chi_j is 1 exactly on the ball r <= 2^j; r as CutoffFamily.chi_j computes it
+    r = np.sqrt(sum(np.asarray(c) ** 2 for c in grid.meshgrid()))
     chi = CutoffFamily()
     plateau_ok = True
     for eps, phi in zip(eps_grid, sqrt_net.items):
         g, j = cutoff_sqrt(measure, spec, chi, eps, grid)
-        coords = grid.meshgrid()
-        inner = np.abs(coords[0]) if dim == 1 else np.maximum(
-            np.abs(coords[0]), np.abs(coords[1])
-        )
-        mask = inner <= 2.0**j
-        plateau_ok = plateau_ok and bool(np.all(g.values[mask] == phi.values.real[mask]))
+        mask = r <= 2.0**j
+        plateau_ok = plateau_ok and bool(np.all(g.values[mask] == phi.values[mask]))
 
     final_gap = max(t["final_gap"] for t in assoc["tests"])
     checks = [
@@ -499,14 +492,8 @@ _RUNNERS = {
 def run(config_path, out_dir=None, workers: int = 1) -> int:
     try:
         config = parse_config(config_path)
-    except ConfigError as exc:
-        loc = f" (line {exc.line})" if exc.line else ""
-        print(f"config error{loc}: {exc}", file=sys.stderr)
-        return 2
-
-    name = config["experiment"]
-    t0 = time.perf_counter()
-    try:
+        name = config["experiment"]
+        t0 = time.perf_counter()
         checks, tables = _RUNNERS[name](config, workers)
     except ConfigError as exc:
         loc = f" (line {exc.line})" if exc.line else ""

@@ -59,7 +59,7 @@ class ProbabilityDensitySnapshot:
     @classmethod
     def from_state(cls, u: GridFunction, t: float, eps: float):
         dens = u.abs2()
-        mass = float(u.grid.cell_volume * np.sum(dens.values.real))
+        mass = float(u.grid.cell_volume * np.sum(dens.values))
         return cls(t=t, eps=eps, density=dens, mass=mass)
 
 
@@ -72,18 +72,6 @@ def mass_check(snapshot: ProbabilityDensitySnapshot, tol: float = 1e-8) -> dict:
         "gap": gap,
         "passes": gap <= tol,
     }
-
-
-def wrap_flag(grid: SpatialGrid, t: float, eps: float) -> bool:
-    """True when the dispersed wave packet may have wrapped around the box.
-
-    Heuristic envelope: spectral content of sqrt(rho_eps) decays like
-    exp(-eps |xi|), so frequencies above xi_eff = 8 ln(10)/eps, where that
-    factor is 1e-8, carry negligible amplitude and the envelope reaches
-    |x| ~ 2 t xi_eff.
-    """
-    xi_eff = 8.0 * np.log(10.0) / eps
-    return bool(2.0 * abs(t) * xi_eff > grid.half_width)
 
 
 def dispersive_bound_check(
@@ -103,7 +91,6 @@ def dispersive_bound_check(
         "bound": bound,
         "ratio": measured / bound,
         "passes": measured <= bound,
-        "wrapped": wrap_flag(u_t.grid, t, eps),
     }
 
 

@@ -2,8 +2,10 @@
 
 Everything else in the package computes on these. Grids live on the box
 [-L, L)^n with n in {1, 2} and a power-of-two number of points per axis,
-so spectral differentiation and Sobolev norms come from plain FFTs. Grid
-functions store real samples as float64 and complex ones as complex128.
+so spectral differentiation and Sobolev norms come from plain FFTs. The
+dtype is the realness contract: a grid function is real exactly when its
+values are float64 (complex ones are complex128), real factors convolve to
+a real array, and test functions must be float64.
 """
 
 from __future__ import annotations
@@ -131,9 +133,6 @@ class GridFunction:
 
     __rmul__ = __mul__
 
-    def conj(self) -> "GridFunction":
-        return GridFunction(self.grid, np.conj(self.values))
-
     def abs2(self) -> "GridFunction":
         return GridFunction(self.grid, np.abs(self.values) ** 2)
 
@@ -164,7 +163,9 @@ class TestFunction:
     """Real compactly supported test function with a symbolic descriptor.
 
     Carries the sampled GridFunction plus the generating profile so that
-    exact point evaluations (e.g. at measure atoms) remain available.
+    exact point evaluations (e.g. at measure atoms) remain available. The
+    samples must be float64: a complex array is rejected even when its
+    imaginary part is zero.
     """
 
     __test__ = False  # not a pytest collectible despite the name
@@ -176,8 +177,8 @@ class TestFunction:
 
     def __post_init__(self):
         v = self.gridfunc.values
-        if np.max(np.abs(v.imag)) > 0:
-            raise GridError("test function must be real-valued")
+        if np.iscomplexobj(v):
+            raise GridError("test function must be real-valued (float64)")
         if _edge_max(v) != 0.0:
             raise GridError("test function must vanish on the outermost grid layer")
 
@@ -189,9 +190,7 @@ class TestFunction:
         return self.profile(*point)
 
 
-def _bump_profile(center, width):
-    center = np.atleast_1d(np.asarray(center, dtype=float))
-
+def _bump_profile(center: np.ndarray, width):
     def profile(*coords):
         arrs = [np.asarray(c, dtype=float) for c in coords]
         r2 = sum((c - ci) ** 2 for c, ci in zip(arrs, center)) / width**2
@@ -207,57 +206,47 @@ def _bump_profile(center, width):
     return profile
 
 
-def bump(grid: SpatialGrid, center=0.0, width: float = 1.0) -> TestFunction:
-    """Smooth bump with value 1 at its center, supported in a ball of radius width."""
+def _catalog_entry(
+    grid: SpatialGrid, name: str, center, width: float, factor=None, **params
+) -> TestFunction:
+    """Sample a catalog test function: a bump of radius width at center, times
+    factor(x_1 - c_1) when factor is given. params join center and width."""
     center = np.atleast_1d(np.asarray(center, dtype=float))
     if np.max(np.abs(center)) + width >= grid.half_width:
         raise GridError("bump support reaches the box boundary")
-    profile = _bump_profile(center, width)
-    gf = GridFunction.from_profile(grid, profile)
+    base = _bump_profile(center, width)
+    if factor is None:
+        profile = base
+    else:
+        def profile(*coords):
+            return base(*coords) * factor(coords[0] - center[0])
+
     return TestFunction(
-        gridfunc=gf,
-        name="bump",
-        params={"center": tuple(center), "width": width},
+        gridfunc=GridFunction.from_profile(grid, profile),
+        name=name,
+        params={"center": tuple(center), "width": width, **params},
         profile=profile,
     )
+
+
+def bump(grid: SpatialGrid, center=0.0, width: float = 1.0) -> TestFunction:
+    """Smooth bump with value 1 at its center, supported in a ball of radius width."""
+    return _catalog_entry(grid, "bump", center, width)
 
 
 def oscillatory_bump(
     grid: SpatialGrid, center=0.0, width: float = 1.0, wavenumber: float = 3.0
 ) -> TestFunction:
     """Bump modulated by cos(k x_1): oscillatory member of the test catalog."""
-    center = np.atleast_1d(np.asarray(center, dtype=float))
-    if np.max(np.abs(center)) + width >= grid.half_width:
-        raise GridError("bump support reaches the box boundary")
-    base = _bump_profile(center, width)
-
-    def profile(*coords):
-        return base(*coords) * np.cos(wavenumber * (coords[0] - center[0]))
-
-    gf = GridFunction.from_profile(grid, profile)
-    return TestFunction(
-        gridfunc=gf,
-        name="oscillatory_bump",
-        params={"center": tuple(center), "width": width, "wavenumber": wavenumber},
-        profile=profile,
+    return _catalog_entry(
+        grid, "oscillatory_bump", center, width,
+        factor=lambda s: np.cos(wavenumber * s), wavenumber=wavenumber,
     )
 
 
 def linear_bump(grid: SpatialGrid, center=0.0, width: float = 1.0) -> TestFunction:
     """x_1 times a bump: odd test function, useful for symmetry checks."""
-    center = np.atleast_1d(np.asarray(center, dtype=float))
-    base = _bump_profile(center, width)
-
-    def profile(*coords):
-        return base(*coords) * (coords[0] - center[0])
-
-    gf = GridFunction.from_profile(grid, profile)
-    return TestFunction(
-        gridfunc=gf,
-        name="linear_bump",
-        params={"center": tuple(center), "width": width},
-        profile=profile,
-    )
+    return _catalog_entry(grid, "linear_bump", center, width, factor=lambda s: s)
 
 
 # ---------------------------------------------------------------------------
@@ -333,15 +322,17 @@ def derivative(u: GridFunction, axis: int = 0, order: int = 1) -> GridFunction:
 def pair(u: GridFunction, psi: TestFunction) -> complex:
     """Distributional pairing <u, psi> = cell_volume * sum(u * psi), no conjugation."""
     _check_same_grid(u, psi.gridfunc)
-    return complex(u.grid.cell_volume * np.sum(u.values * psi.gridfunc.values.real))
+    return complex(u.grid.cell_volume * np.sum(u.values * psi.gridfunc.values))
 
 
 def periodic_convolve(a: np.ndarray, b: np.ndarray, grid: SpatialGrid) -> np.ndarray:
     """Periodic convolution (a * b)(x) = integral a(x - y) b(y) dy by FFT.
 
     Both factors are samples starting at x_0 = -L, so the FFT product picks
-    up a shift of L = M/2 cells per axis, which the roll undoes.
+    up a shift of L = M/2 cells per axis, which the roll undoes. The result
+    is float64 when both factors are real and complex128 otherwise.
     """
     conv = np.fft.ifftn(np.fft.fftn(a) * np.fft.fftn(b))
     shift = grid.points_per_axis // 2
-    return grid.cell_volume * np.roll(conv, shift, axis=tuple(range(grid.dim)))
+    out = grid.cell_volume * np.roll(conv, shift, axis=tuple(range(grid.dim)))
+    return out.real if np.isrealobj(a) and np.isrealobj(b) else out

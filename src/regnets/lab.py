@@ -30,10 +30,7 @@ def mollify_gridfunction(u: GridFunction, spec: MollifierSpec, eps: float) -> Gr
     """u * rho_eps on the periodic box by FFT."""
     grid = u.grid
     rho = scaled_mollifier(spec, eps, grid)
-    out = periodic_convolve(u.values, rho.values, grid)
-    if np.max(np.abs(u.values.imag)) == 0.0:
-        out = out.real
-    return GridFunction(grid, out)
+    return GridFunction(grid, periodic_convolve(u.values, rho.values, grid))
 
 
 def _restrict(fine: GridFunction, coarse_grid: SpatialGrid) -> GridFunction:
@@ -136,19 +133,11 @@ def _spectral_prolong(u: GridFunction, fine_grid: SpatialGrid) -> GridFunction:
     """Zero-padded spectral interpolation onto the doubled grid."""
     M = u.grid.points_per_axis
     M2 = fine_grid.points_per_axis
-    F = np.fft.fftn(u.values)
-    Fs = np.fft.fftshift(F)
-    if u.grid.dim == 1:
-        pad = np.zeros(M2, dtype=complex)
-        pad[(M2 - M) // 2 : (M2 + M) // 2] = Fs
-    else:
-        pad = np.zeros((M2, M2), dtype=complex)
-        lo = (M2 - M) // 2
-        pad[lo : lo + M, lo : lo + M] = Fs
+    lo = (M2 - M) // 2
+    pad = np.zeros(fine_grid.shape, dtype=complex)
+    pad[(slice(lo, lo + M),) * u.grid.dim] = np.fft.fftshift(np.fft.fftn(u.values))
     out = np.fft.ifftn(np.fft.ifftshift(pad)) * (M2 / M) ** u.grid.dim
-    if np.max(np.abs(u.values.imag)) == 0.0:
-        out = out.real
-    return GridFunction(fine_grid, out)
+    return GridFunction(fine_grid, out.real if np.isrealobj(u.values) else out)
 
 
 def association_of_solution(

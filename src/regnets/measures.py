@@ -193,7 +193,7 @@ def mollify_measure(
         coords = grid.meshgrid()
         dens = mu.density.evaluate(grid.dim, *coords)
         rho = spec.evaluate_scaled(eps, *coords)
-        h += mu.density_weight * periodic_convolve(dens, rho, grid).real
+        h += mu.density_weight * periodic_convolve(dens, rho, grid)
     if h.min() <= 0.0:
         raise PositivityError(
             "mollified measure non-positive at a node (quadrature/underflow failure)"
@@ -202,10 +202,10 @@ def mollify_measure(
 
 
 def sqrt_root(h: GridFunction) -> GridFunction:
-    """Pointwise positive square root of a strictly positive grid function."""
-    vals = h.values.real
-    if np.max(np.abs(h.values.imag)) > 0:
-        raise PositivityError("square root input must be real")
+    """Pointwise positive square root of a strictly positive float64 grid function."""
+    if np.iscomplexobj(h.values):
+        raise PositivityError("square root input must be real (float64)")
+    vals = h.values
     if vals.min() <= 0.0:
         raise PositivityError(f"input not strictly positive (min {vals.min()})")
     return GridFunction(h.grid, np.sqrt(vals))
@@ -266,8 +266,7 @@ def cutoff_sqrt(
             required_half_width=support,
         )
     phi = sqrt_root(mollify_measure(mu, spec, eps, grid))
-    chi_vals = chi.chi_j(j, grid).values.real
-    g = GridFunction(grid, chi_vals * phi.values.real)
+    g = GridFunction(grid, chi.chi_j(j, grid).values * phi.values)
     return g, j
 
 
@@ -299,7 +298,7 @@ def lower_bound_check(
     inside = r <= K_radius
     if not np.any(inside):
         raise RegnetsError("no grid nodes inside the requested ball")
-    measured_inf = float(h.values.real[inside].min())
+    measured_inf = float(h.values[inside].min())
     mu_A = mu.ball_mass(r_A)
     sharp_bound = mu_A * float(spec.evaluate_scaled(eps, r_K))
     paper_bound = None

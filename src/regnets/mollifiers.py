@@ -145,13 +145,6 @@ class MollifierSpec:
             "passes": bool(ratios.min() > 0.0),
         }
 
-    def validate(self) -> dict:
-        """Unit mass (quadrature) and positive-tail checks."""
-        mass = self.mass_by_quadrature()
-        tail = self.tail_bound_report()
-        ok = abs(mass - 1.0) < 1e-6 and tail["passes"]
-        return {"mass": mass, "tail": tail, "passes": ok}
-
 
 def _sample_scaled(spec: MollifierSpec, eps: float, grid: SpatialGrid, power: float):
     """Sample rho_eps**power on the grid; requires eps in (0, 1] and spacing <= eps/8."""

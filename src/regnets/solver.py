@@ -149,12 +149,9 @@ class CoefficientNet:
                     f"c_{k} dips below c0={self.c0} at (eps={eps}, t={t}): min={low}"
                 )
 
-    def dt_sup_norms(self, eps_grid: EpsGrid, grid: SpatialGrid, t_samples):
-        """max over coefficients, t-samples of ||d_t c_eps||_inf, per eps."""
-        return [_dt_sup((*self.c, self.V), eps, t_samples, grid) for eps in eps_grid]
-
-    def check_log_type(self, eps_grid: EpsGrid, grid: SpatialGrid, t_samples=(0.0, 0.5, 1.0)):
-        sups = self.dt_sup_norms(eps_grid, grid, t_samples)
+    def check_log_type(self, eps_grid: EpsGrid, grid: SpatialGrid):
+        """Log-type test of max over coefficients and t in {0, 1/2, 1} of ||d_t c_eps||_inf."""
+        sups = [_dt_sup((*self.c, self.V), eps, (0.0, 0.5, 1.0), grid) for eps in eps_grid]
         return check_log_type(eps_grid, sups)
 
 
@@ -361,7 +358,7 @@ def solve(
     """
     grid, dt, Nt = problem.grid, problem.dt, problem.time_steps
     lam = 0.5j * dt
-    u = problem.initial(eps).values.astype(complex).copy()
+    u = problem.initial(eps).values.astype(complex)
     times = [0.0]
     snapshots = {}
     residuals = []

@@ -59,12 +59,6 @@ class TestEpsNet:
         with pytest.raises(RegnetsError):
             EpsNet(eg, items)
 
-    def test_map_scalar(self):
-        eg = EpsGrid.dyadic(2, 7)
-        net = EpsNet(eg, list(eg.values))
-        doubled = net.map_scalar(lambda v: 2 * v)
-        assert doubled.items == tuple(2 * v for v in eg.values)
-
 
 class TestLogLogFit:
     def test_exact_power_law(self):

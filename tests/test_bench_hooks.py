@@ -1,12 +1,17 @@
-"""The benchmark tracer in bench/spans.py patches package names; they must exist.
+"""The benchmark reaches into the package by name; those names must hold.
 
-The tracer replaces functions and methods by name from outside the package,
-so renaming one of them breaks the benchmark's traced runs. This test
-installs the tracer, checks that each hooked name was replaced, and checks
-that uninstalling puts every original back.
+The tracer in bench/spans.py replaces functions and methods by name from
+outside the package, so renaming one of them breaks the benchmark's traced
+runs. One test installs the tracer, checks that each hooked name was
+replaced, and checks that uninstalling puts every original back. Another
+binds every `rn.<name>(...)` call in bench/workloads.py to the package's
+current signature, so a dropped or renamed parameter fails here rather
+than in a benchmark run.
 """
 
+import ast
 import importlib
+import inspect
 from pathlib import Path
 
 import numpy.fft
@@ -47,3 +52,33 @@ def test_tracer_patches_and_restores_hooked_names(monkeypatch):
         assert during[name] is not original, f"{name} was not patched"
         assert during[name].__wrapped__ is original, f"{name} wraps the wrong function"
         assert after[name] is original, f"{name} was not restored"
+
+
+def _package_calls(tree):
+    """(dotted name, call node) for every call whose callee is an attribute chain on rn."""
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        parts = []
+        func = node.func
+        while isinstance(func, ast.Attribute):
+            parts.append(func.attr)
+            func = func.value
+        if parts and isinstance(func, ast.Name) and func.id == "rn":
+            yield ".".join(reversed(parts)), node
+
+
+def test_workload_calls_bind_to_package_signatures():
+    tree = ast.parse((BENCH / "workloads.py").read_text())
+    calls = list(_package_calls(tree))
+    assert len(calls) >= 30
+    for name, call in calls:
+        target = regnets
+        for part in name.split("."):
+            target = getattr(target, part)
+        positional = [None] * len(call.args)
+        keywords = {kw.arg: None for kw in call.keywords}
+        try:
+            inspect.signature(target).bind(*positional, **keywords)
+        except TypeError as exc:
+            raise AssertionError(f"bench/workloads.py:{call.lineno} rn.{name}: {exc}") from None

@@ -151,8 +151,12 @@ class TestRun:
             (SWEEP + "data = gaussian\n", 9),
             (COHERENCE + "data = dirac\n", 8),
             (SQRT_MEASURE + "density = triangle\n", 7),
+            (SQRT_MEASURE.replace("dim = 1", "dim = 3"), 2),
+            (SQRT_MEASURE.replace("atoms = 0:1", "atoms = 0.5"), 6),
+            (SQRT_MEASURE.replace("atoms = 0:1", "atoms = a:1"), 6),
         ],
-        ids=["coefficient_family", "sweep_data", "coherence_data", "density"],
+        ids=["coefficient_family", "sweep_data", "coherence_data", "density",
+             "dim", "atom_without_weight", "atom_not_a_number"],
     )
     def test_value_outside_enumeration_exits_2(self, tmp_path, capsys, text, bad_line):
         out = tmp_path / "res"
@@ -195,6 +199,33 @@ class TestRun:
         assert run(path, out_dir=out) == 2
         assert "sqrt_measure needs atoms and/or a density" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "measure, message",
+        [
+            ("atoms = 0:0.5\ndensity = gaussian\ndensity_weight = 0.2\n", "total mass 0.7 != 1"),
+            ("atoms = 0:1;1:0\n", "atom weights must be positive"),
+        ],
+        ids=["total_mass", "zero_weight"],
+    )
+    def test_measure_that_is_not_a_probability_exits_2(self, tmp_path, capsys, measure, message):
+        path = _write(tmp_path, SQRT_MEASURE.replace("atoms = 0:1\n", measure))
+        out = tmp_path / "res"
+        assert run(path, out_dir=out) == 2
+        err = capsys.readouterr().err
+        assert "config error" in err and message in err
+        assert not out.exists()
+
+    def test_2d_cutoff_plateau_is_the_euclidean_ball(self, tmp_path):
+        # chi_j is radial, so it is below 1 in the corners of the square |x|_inf <= 2^j
+        text = (
+            "experiment = sqrt_measure\ndim = 2\nhalf_width = 8\npoints_per_axis = 256\n"
+            "eps_grid = 1.0,0.9,0.8,0.7,0.6,0.5\natoms = 0.1,0.2:1\n"
+        )
+        out = tmp_path / "res"
+        run(_write(tmp_path, text), out_dir=out)
+        _, rows = io.read_csv(out / "checks.csv")
+        assert {name: passed for name, passed, _ in rows}["cutoff_plateau_identity"] == "1"
 
     def test_determinism_same_config_same_tables(self, tmp_path):
         path = _write(tmp_path, SELFTEST)

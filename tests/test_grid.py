@@ -22,6 +22,7 @@ from regnets import (
     oscillatory_bump,
     pair,
 )
+from regnets.grid import periodic_convolve
 
 
 # ---------------------------------------------------------------------------
@@ -123,6 +124,27 @@ class TestGridFunction:
         b = GridFunction.zeros(SpatialGrid(1, 1.0, 32))
         with pytest.raises(GridError):
             a + b
+
+
+class TestPeriodicConvolve:
+    @pytest.mark.parametrize(
+        "a_dtype, b_dtype, out_dtype",
+        [
+            (np.float64, np.float64, np.float64),
+            (np.complex128, np.float64, np.complex128),
+            (np.float64, np.complex128, np.complex128),
+        ],
+    )
+    def test_dtype_is_real_exactly_when_both_factors_are(self, a_dtype, b_dtype, out_dtype):
+        g = SpatialGrid(2, 4.0, 32)
+        x, y = g.meshgrid()
+        a = np.exp(-(x**2 + y**2)).astype(a_dtype)
+        b = np.exp(-((x - 1.0) ** 2 + 2.0 * y**2)).astype(b_dtype)
+        out = periodic_convolve(a, b, g)
+        assert out.dtype == out_dtype
+        # the real result is the real part of the complex computation, bit for bit
+        reference = periodic_convolve(a.astype(complex), b, g)
+        assert np.array_equal(out, reference if out_dtype == np.complex128 else reference.real)
 
 
 # ---------------------------------------------------------------------------
@@ -279,6 +301,20 @@ class TestTestFunctions:
         interior = peak_plus_node(inward)
         assert interior.boundary_decay() == 0.0
         TestFunction(interior, name="interior", params={})
+
+    def test_complex_dtype_is_not_real_even_with_zero_imaginary_part(self):
+        g = SpatialGrid(1, 4.0, 256)
+        real = bump(g, 0.0, 1.0).gridfunc
+        TestFunction(real, name="real", params={})
+        with pytest.raises(GridError, match="real-valued"):
+            TestFunction(GridFunction(g, real.values.astype(complex)), name="cplx", params={})
+
+    @pytest.mark.parametrize("make", [bump, oscillatory_bump, linear_bump])
+    def test_support_reaching_the_box_is_rejected(self, make):
+        g = SpatialGrid(1, 4.0, 256)
+        make(g, 2.9, 1.0)
+        with pytest.raises(GridError, match="bump support reaches the box boundary"):
+            make(g, 3.0, 1.0)
 
     def test_pair_against_bump_matches_quadrature(self):
         from scipy.integrate import quad

@@ -144,6 +144,13 @@ class TestSqrtRoot:
         with pytest.raises(PositivityError):
             sqrt_root(GridFunction.zeros(grid))
 
+    def test_rejects_complex_dtype_even_with_zero_imaginary_part(self):
+        from regnets import GridFunction, PositivityError
+
+        grid = SpatialGrid(1, 1.0, 16)
+        with pytest.raises(PositivityError, match="real"):
+            sqrt_root(GridFunction(grid, np.ones(16, dtype=complex)))
+
 
 class TestCutoff:
     def test_dyadic_index(self):
