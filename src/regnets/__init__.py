@@ -79,7 +79,6 @@ from .solver import (
     power_time_coefficient,
     mollified_jump_coefficient,
     build_operator,
-    coercivity_check,
     solve,
     energy_audit,
     solution_sup_h1_net,

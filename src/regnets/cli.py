@@ -1,13 +1,14 @@
 """Experiment runner: `regnets run <config>` and `regnets report <dir>`.
 
 Configs are flat key = value text files, one experiment per file, validated
-against a typed schema (dim in {1, 2}, typed atom lists, enumerated keys)
-before anything runs. Nothing in a run is random. A run that finishes writes
-a results directory containing a copy of the config, CSV tables, a checks
-table and a manifest recording versions and timings; a run that fails writes
-none. Exit codes: 0 all checks pass, 1 a check failed or the run failed, 2
-schema violation or unusable input (atoms and density weights that are not
-a probability measure, scales the grid or box cannot hold).
+against a typed schema (dim in {1, 2}, points_per_axis a power of two
+>= 8, half_width > 0, typed atom lists, enumerated keys) before anything
+runs. Nothing in a run is random. A run that finishes writes a results
+directory containing a copy of the config, CSV tables, a checks table and a
+manifest recording versions and timings; a run that fails writes none.
+Exit codes: 0 all checks pass, 1 a check failed or the run failed, 2 schema
+violation or unusable input (atoms and density weights that are not a
+probability measure, scales the grid or box cannot hold).
 """
 
 from __future__ import annotations
@@ -62,11 +63,16 @@ def _parse_floats(s):
     return tuple(float(v) for v in s.split(",") if v.strip())
 
 
-def _parse_dim(s):
-    dim = int(s)
-    if dim not in (1, 2):
-        raise ValueError(f"dim must be 1 or 2, got {dim}")
-    return dim
+def _checked(parse, ok, rule):
+    """A parser that also requires ok(value); rule says what ok means."""
+
+    def parse_checked(s):
+        value = parse(s)
+        if not ok(value):
+            raise ValueError(f"must be {rule}, got {value}")
+        return value
+
+    return parse_checked
 
 
 def _parse_atoms(s):
@@ -82,7 +88,9 @@ _TYPES = {
     "int": int,
     "float": float,
     "floats": _parse_floats,
-    "dim": _parse_dim,
+    "dim": _checked(int, lambda d: d in (1, 2), "1 or 2"),
+    "points": _checked(int, lambda n: n >= 8 and not n & (n - 1), "a power of two >= 8"),
+    "length": _checked(float, lambda x: x > 0, "positive"),
     "atoms": _parse_atoms,
 }
 
@@ -91,8 +99,8 @@ _TYPES = {
 # dimensionless.
 _GRID_SCHEMA = {
     "dim": ("dim", True, None),
-    "half_width": ("float", True, None),
-    "points_per_axis": ("int", True, None),
+    "half_width": ("length", True, None),
+    "points_per_axis": ("points", True, None),
 }
 
 _EPS_SCHEMA = {
@@ -201,9 +209,9 @@ def parse_config(path) -> dict:
             continue
         try:
             config[key] = _TYPES[typename](value)
-        except ValueError:
+        except ValueError as exc:
             raise ConfigError(
-                f"key {key!r}: cannot parse {value!r} as {typename}", line=lines[key]
+                f"key {key!r}: cannot parse {value!r} as {typename} ({exc})", line=lines[key]
             )
     for key, (typename, required, default) in schema.items():
         if key not in config:

@@ -27,6 +27,10 @@ from .errors import GridError, PositivityError, RegnetsError, SolverError
 from .grid import GridFunction, SpatialGrid, norm_h_minus1, norm_hk, norm_l2
 
 LINEAR_RESIDUAL_TOL = 1e-10
+# GMRES of the 2-D Krylov path: Krylov vectors per restart cycle, and cycles
+# before it gives up. A 1 -> 4 jump in c at 256^2 needs about 30 per step.
+_KRYLOV_RESTART = 40
+_KRYLOV_CYCLES = 10
 
 
 # ---------------------------------------------------------------------------
@@ -39,10 +43,11 @@ class Coefficient:
 
     evaluate(eps, t, grid) -> real array on the grid. dt_evaluate declares
     how c depends on t: None means c does not depend on t, so the solver
-    factors its Crank-Nicolson matrix once per solve; otherwise it is the
-    analytic d_t c with the same signature (used by the solver to refactor
-    every step, and by log-type checks and energy constants). It has no
-    default, so every coefficient states which kind it is.
+    builds its Crank-Nicolson operator and solver once per solve; otherwise
+    it is the analytic d_t c with the same signature (used by the solver to
+    rebuild the operator and its factorization or preconditioner every
+    step, and by log-type checks and energy constants). It has no default,
+    so every coefficient states which kind it is.
     """
 
     evaluate: Callable
@@ -137,18 +142,6 @@ class CoefficientNet:
         object.__setattr__(self, "V", V or constant_coefficient(0.0))
         object.__setattr__(self, "c0", float(c0))
 
-    def check_positivity(self, eps: float, t: float, grid: SpatialGrid):
-        self._check_fields([ck.evaluate(eps, t, grid) for ck in self.c], eps, t)
-
-    def _check_fields(self, c_fields: Sequence[np.ndarray], eps: float, t: float):
-        """Raise PositivityError if any evaluated c_k dips below c0 or is NaN."""
-        for k, vals in enumerate(c_fields):
-            low = vals.min()
-            if not low >= self.c0 - 1e-12:
-                raise PositivityError(
-                    f"c_{k} dips below c0={self.c0} at (eps={eps}, t={t}): min={low}"
-                )
-
     def check_log_type(self, eps_grid: EpsGrid, grid: SpatialGrid):
         """Log-type test of max over coefficients and t in {0, 1/2, 1} of ||d_t c_eps||_inf."""
         sups = [_dt_sup((*self.c, self.V), eps, (0.0, 0.5, 1.0), grid) for eps in eps_grid]
@@ -183,18 +176,6 @@ class FluxFormOperator:
             out = out + (flux - np.roll(flux, 1, axis=k)) / self.dx**2
         return out
 
-    def quadratic_form(self, u: np.ndarray) -> float:
-        """a(u, u) = sum_k <c_k D+u, D+u> - <V u, u> sign convention:
-        returns sum_k <c_half D+u/dx, D+u/dx> + <V u, u> (the sesquilinear
-        energy form; note apply() realizes -div form + V, so
-        <(-A_div + V) u, u> equals this exactly by summation by parts)."""
-        vol = self.grid.cell_volume
-        total = float(np.sum(self.v * np.abs(u) ** 2) * vol)
-        for k, ch in enumerate(self.c_half):
-            fwd = (np.roll(u, -1, axis=k) - u) / self.dx
-            total += float(np.sum(ch * np.abs(fwd) ** 2) * vol)
-        return total
-
     def as_sparse(self) -> sp.csc_matrix:
         g = self.grid
         N = g.points_per_axis**g.dim
@@ -221,44 +202,16 @@ def build_operator(
     coeffs: CoefficientNet, eps: float, t: float, grid: SpatialGrid
 ) -> FluxFormOperator:
     c_fields = [ck.evaluate(eps, t, grid) for ck in coeffs.c]
-    coeffs._check_fields(c_fields, eps, t)
+    for k, vals in enumerate(c_fields):
+        low = vals.min()
+        if not low >= coeffs.c0 - 1e-12:  # also catches a NaN minimum
+            raise PositivityError(
+                f"c_{k} dips below c0={coeffs.c0} at (eps={eps}, t={t}): min={low}"
+            )
     v_field = coeffs.V.evaluate(eps, t, grid)
     if not np.all(np.isfinite(v_field)):
         raise GridError(f"potential V is not finite at (eps={eps}, t={t})")
     return FluxFormOperator(grid, c_fields, v_field)
-
-
-def coercivity_check(
-    coeffs: CoefficientNet,
-    eps: float,
-    t: float,
-    grid: SpatialGrid,
-    probes: Sequence[GridFunction],
-) -> dict:
-    """a(phi,phi) + lambda ||phi||^2 >= c0 ||phi||^2_{H1,discrete} per probe.
-
-    lambda = c0 + ||V||_inf; the discrete H1 norm uses the same forward
-    differences as the flux form, so the inequality is exact given the
-    coefficient lower bound.
-    """
-    op = build_operator(coeffs, eps, t, grid)
-    lam = coeffs.c0 + float(np.max(np.abs(op.v)))
-    results = []
-    vol = grid.cell_volume
-    for phi in probes:
-        u = phi.values
-        a_val = op.quadratic_form(u)
-        l2sq = float(np.sum(np.abs(u) ** 2) * vol)
-        h1sq = l2sq
-        for k in range(grid.dim):
-            fwd = (np.roll(u, -1, axis=k) - u) / grid.spacing
-            h1sq += float(np.sum(np.abs(fwd) ** 2) * vol)
-        lhs = a_val + lam * l2sq
-        rhs = coeffs.c0 * h1sq
-        results.append(
-            {"a": a_val, "lambda": lam, "lhs": lhs, "rhs": rhs, "passes": lhs >= rhs * (1 - 1e-12)}
-        )
-    return {"lambda": lam, "probes": results, "passes": all(r["passes"] for r in results)}
 
 
 # ---------------------------------------------------------------------------
@@ -294,18 +247,20 @@ class SolveResult:
     snapshots: dict  # t -> GridFunction
     residuals: list
     final: GridFunction
-    backend: str  # "tridiagonal", "fft" or "sparse_lu"
-    factorizations: int
+    backend: str  # "tridiagonal", "fft" (direct) or "krylov" (GMRES), picked by _cn_solver
+    factorizations: int  # operator and solver (LU or preconditioner) builds
+    iterations: int  # Krylov iterations over the march; 0 for direct backends
 
 
 def _cn_matrices(op: FluxFormOperator, dt: float) -> sp.csc_matrix:
-    """S = I - i(dt/2)H as a sparse matrix, the operand of the sparse LU path."""
+    """S = I - i(dt/2)H as a sparse matrix: the reference the solver is tested against."""
     H = op.as_sparse()
     return (sp.identity(H.shape[0], format="csc", dtype=complex) - 0.5j * dt * H).tocsc()
 
 
 def _cn_solver(op: FluxFormOperator, dt: float):
-    """(backend, solve) for S = I - i(dt/2)H; solve maps a grid-shaped rhs to S^-1 rhs.
+    """(backend, step) for S = I - i(dt/2)H; step maps a grid-shaped rhs to
+    (S^-1 rhs, Krylov iterations, Krylov info), both 0 for direct backends.
 
     The choice depends only on the dimension and the fields being inverted.
     1-D: S is cyclic tridiagonal. Moving the corner entry g to the diagonal
@@ -313,7 +268,11 @@ def _cn_solver(op: FluxFormOperator, dt: float):
     same Cayley form, so banded LU of T plus Sherman-Morrison solves S in
     O(N) (Temperton 1975). Uniform c_k and V (2-D): S is the Fourier
     multiplier 1 - i(dt/2)(V - 4 sum_k c_k sin^2(xi_k dx/2)/dx^2).
-    Otherwise: sparse LU.
+    Otherwise (2-D): GMRES on the matrix-free S, left-preconditioned by that
+    multiplier built from the means of c_half[k] and V. With c0 <= c_k <=
+    c_max the two are spectrally equivalent, with a condition bound that
+    depends only on c_max/c0 (Concus & Golub 1973). Each solve starts from
+    the rhs and stops at a true relative residual of LINEAR_RESIDUAL_TOL / 100.
     """
     lam = 0.5j * dt
     dx2 = op.dx**2
@@ -331,16 +290,39 @@ def _cn_solver(op: FluxFormOperator, dt: float):
 
         def solve_tridiagonal(rhs):
             y = lapack.zgttrs(*lu, rhs)[0]
-            return y - (y[0] + y[-1]) * z
+            return y - (y[0] + y[-1]) * z, 0, 0
 
         return "tridiagonal", solve_tridiagonal
-    if all(np.all(a == a.flat[0]) for a in (*op.c_half, op.v)):
-        xi = np.ix_(*op.grid.wavenumbers())
-        sin_sq = [ch.flat[0] * np.sin(x * op.dx / 2.0) ** 2 for ch, x in zip(op.c_half, xi)]
-        multiplier = 1.0 - lam * (op.v.flat[0] - 4.0 * sum(sin_sq) / dx2)
-        return "fft", lambda rhs: np.fft.ifftn(np.fft.fftn(rhs) / multiplier)
-    lu = spla.splu(_cn_matrices(op, dt))
-    return "sparse_lu", lambda rhs: lu.solve(rhs.ravel()).reshape(rhs.shape)
+    uniform = all(np.all(a == a.flat[0]) for a in (*op.c_half, op.v))
+    level = (lambda a: a.flat[0]) if uniform else np.mean
+    xi = np.ix_(*op.grid.wavenumbers())
+    sin_sq = [level(ch) * np.sin(x * op.dx / 2.0) ** 2 for ch, x in zip(op.c_half, xi)]
+    multiplier = 1.0 - lam * (level(op.v) - 4.0 * sum(sin_sq) / dx2)
+
+    def precondition(rhs):
+        return np.fft.ifftn(np.fft.fftn(rhs) / multiplier)
+
+    if uniform:
+        return "fft", lambda rhs: (precondition(rhs), 0, 0)
+
+    shape, n = op.grid.shape, multiplier.size
+
+    def on_vectors(grid_map):
+        return spla.LinearOperator((n, n), lambda u: grid_map(u.reshape(shape)).ravel(), dtype=complex)
+
+    S = on_vectors(lambda u: u - lam * op.apply(u))
+    M = on_vectors(precondition)
+
+    def solve_krylov(rhs):
+        pr_norms = []
+        b = rhs.ravel()
+        x, info = spla.gmres(
+            S, b, x0=b, rtol=LINEAR_RESIDUAL_TOL / 100, atol=0.0, restart=_KRYLOV_RESTART,
+            maxiter=_KRYLOV_CYCLES, M=M, callback=pr_norms.append, callback_type="pr_norm",
+        )
+        return x.reshape(shape), len(pr_norms), info
+
+    return "krylov", solve_krylov
 
 
 def solve(
@@ -354,7 +336,8 @@ def solve(
     Each step solves S u_new = R u + dt f with S, R = I -/+ i(dt/2)H by the
     backend _cn_solver picks for the step's operator. R u and the relative
     residual ||S u_new - rhs|| / ||rhs|| are computed matrix-free; every
-    step's residual is recorded and must meet 1e-10, else SolverError.
+    step's residual is recorded and must meet 1e-10, else SolverError, as
+    is a Krylov solve that stops short of its tolerance.
     """
     grid, dt, Nt = problem.grid, problem.dt, problem.time_steps
     lam = 0.5j * dt
@@ -382,7 +365,7 @@ def solve(
     take_snapshots(0.0, u)
 
     time_dep = any(c.dt_evaluate is not None for c in (*problem.coeffs.c, problem.coeffs.V))
-    factorizations = 0
+    factorizations = iterations = 0
     for m in range(Nt):
         t_half = (m + 0.5) * dt
         if factorizations == 0 or time_dep:
@@ -393,7 +376,12 @@ def solve(
         rhs = u + lam * h_u
         if problem.forcing is not None:
             rhs = rhs + dt * problem.forcing_values(eps, t_half)
-        new = solve_step(rhs)
+        new, its, info = solve_step(rhs)
+        iterations += its
+        if info:
+            raise SolverError(
+                f"GMRES did not converge in {its} iterations at step {m} (eps={eps})"
+            )
         # H u_new serves the residual and, while H is unchanged, the next R u
         h_u = op.apply(new)
         rhs_norm = np.linalg.norm(rhs)
@@ -420,6 +408,7 @@ def solve(
         final=GridFunction(grid, u),
         backend=backend,
         factorizations=factorizations,
+        iterations=iterations,
     )
 
 

@@ -154,15 +154,30 @@ class TestRun:
             (SQRT_MEASURE.replace("dim = 1", "dim = 3"), 2),
             (SQRT_MEASURE.replace("atoms = 0:1", "atoms = 0.5"), 6),
             (SQRT_MEASURE.replace("atoms = 0:1", "atoms = a:1"), 6),
+            (SWEEP.replace("points_per_axis = 128", "points_per_axis = 100"), 4),
+            (SWEEP.replace("half_width = 4", "half_width = 0"), 3),
         ],
         ids=["coefficient_family", "sweep_data", "coherence_data", "density",
-             "dim", "atom_without_weight", "atom_not_a_number"],
+             "dim", "atom_without_weight", "atom_not_a_number", "points_per_axis", "half_width"],
     )
     def test_value_outside_enumeration_exits_2(self, tmp_path, capsys, text, bad_line):
         out = tmp_path / "res"
         assert run(_write(tmp_path, text), out_dir=out) == 2
         assert f"line {bad_line}" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_2d_jump_sweep_conserves_l2(self, tmp_path):
+        # the paper's central case: a non-smooth principal coefficient in 2-D,
+        # solved on the Krylov path; the smallest eps, 0.5, is 8 grid spacings
+        text = (
+            "experiment = schrodinger_sweep\ndim = 2\nhalf_width = 1\npoints_per_axis = 32\n"
+            "coefficient_family = jump\neps_grid = 1.0,0.9,0.8,0.7,0.6,0.5\n"
+            "T = 0.1\ntime_steps = 10\n"
+        )
+        out = tmp_path / "res"
+        assert run(_write(tmp_path, text), out_dir=out) == 0
+        _, rows = io.read_csv(out / "checks.csv")
+        assert {name: passed for name, passed, _ in rows}["l2_conservation"] == "1"
 
     def test_missing_config_exits_2(self, tmp_path):
         assert run(tmp_path / "nope.txt", out_dir=tmp_path / "res") == 2

@@ -1,4 +1,4 @@
-"""Flux-form operator, coercivity, Crank-Nicolson evolution and its audits."""
+"""Flux-form operator, Crank-Nicolson evolution and its audits."""
 
 import numpy as np
 import pytest
@@ -19,7 +19,6 @@ from regnets import (
     SolverError,
     SpatialGrid,
     build_operator,
-    coercivity_check,
     constant_coefficient,
     energy_audit,
     log_time_coefficient,
@@ -116,6 +115,7 @@ def _backend_case(name):
             lambda e, t: t * shape,
         ),
         "2d_log_time_c": ([log_c, log_c], None, None),
+        "2d_jump": ([mollified_jump_coefficient(1.0, 4.0)] * 2, None, None),
     }[name]
     u0 = GridFunction.from_profile(grid, bump)
     return CauchyProblem(
@@ -136,8 +136,8 @@ class TestCoefficients:
             V=None,
             c0=0.5,
         )
-        with pytest.raises(PositivityError):
-            net.check_positivity(0.5, 0.0, grid)
+        with pytest.raises(PositivityError, match=r"c_0 dips below c0=0.5 at \(eps=0.5, t=0.0\): min=0.1"):
+            build_operator(net, 0.5, 0.0, grid)
 
     @pytest.mark.parametrize("bad", ["nan_c", "nan_V"])
     def test_nan_coefficient_is_rejected_by_name(self, bad):
@@ -153,7 +153,7 @@ class TestCoefficients:
         )
         if bad == "nan_c":
             with pytest.raises(PositivityError, match="c_0 dips below c0=0.5"):
-                net.check_positivity(0.5, 0.0, grid)
+                build_operator(net, 0.5, 0.0, grid)
             with pytest.raises(PositivityError, match="c_0 dips below c0=0.5"):
                 solve(problem, 0.5)
         else:
@@ -234,23 +234,6 @@ class TestFluxFormOperator:
         )
         H = build_operator(net, 1.0, 0.0, grid).as_sparse().toarray()
         np.testing.assert_allclose(H, H.T, atol=1e-12)
-
-    def test_coercivity_with_random_probes(self):
-        grid = SpatialGrid(1, 1.0, 128)
-        net = CoefficientNet(
-            c=(spatial_coefficient(lambda x: 1.0 + 0.5 * np.cos(np.pi * x)),),
-            V=spatial_coefficient(lambda x: 2.0 * np.sin(3 * x)),
-            c0=0.5,
-        )
-        rng = np.random.default_rng(3)
-        probes = [
-            GridFunction(grid, rng.standard_normal(128) + 1j * rng.standard_normal(128))
-            for _ in range(8)
-        ]
-        rep = coercivity_check(net, 0.5, 0.0, grid, probes)
-        assert rep["passes"]
-        # lambda = c0 + sampled sup |V|, just below the analytic sup 2.0
-        assert rep["lambda"] == pytest.approx(0.5 + 2.0, rel=1e-2)
 
 
 class TestCrankNicolson:
@@ -361,7 +344,8 @@ class TestCrankNicolson:
             ("1d_time_dependent_V", "tridiagonal"),
             ("1d_forced", "tridiagonal"),
             ("2d_uniform_forced", "fft"),
-            ("2d_log_time_c", "sparse_lu"),
+            ("2d_log_time_c", "krylov"),
+            ("2d_jump", "krylov"),
         ],
     )
     def test_backend_matches_sparse_lu_reference(self, case, backend):
@@ -369,6 +353,9 @@ class TestCrankNicolson:
         res = solve(problem, eps)
         ref_final, ref_rows = _sparse_lu_march(problem, eps)
         assert res.backend == backend
+        time_dep = any(c.dt_evaluate is not None for c in (*problem.coeffs.c, problem.coeffs.V))
+        assert res.factorizations == (problem.time_steps if time_dep else 1)
+        assert (res.iterations > 0) == (backend == "krylov")
         final_gap = np.max(np.abs(res.final.values - ref_final))
         assert final_gap <= 1e-11 * np.max(np.abs(ref_final))
         row_gap = np.max(np.abs(res.norm_history - ref_rows), axis=0)
@@ -426,6 +413,18 @@ class TestCrankNicolson:
         )
         with pytest.raises(SolverError, match="residual nan above 1e-10 at step 0"):
             solve(problem, 1.0, record_norms=False)
+
+    def test_krylov_that_stops_short_raises_solver_error(self, monkeypatch):
+        import regnets.solver
+
+        def stalled_gmres(A, b, x0=None, callback=None, **kwargs):
+            for _ in range(7):
+                callback(1e-3)
+            return x0.copy(), 7
+
+        monkeypatch.setattr(regnets.solver.spla, "gmres", stalled_gmres)
+        with pytest.raises(SolverError, match=r"GMRES did not converge in 7 iterations at step 0 \(eps=0.015625\)"):
+            solve(_backend_case("2d_jump"), 1.0 / 64)
 
     def test_residuals_tracked(self):
         grid = SpatialGrid(1, 1.0, 64)
