@@ -6,7 +6,6 @@ from .asymptotics import (
     EpsNet,
     AsymptoticFit,
     classify_moderate,
-    classify_negligible,
     check_log_type,
     loglog_fit,
 )
@@ -59,7 +58,6 @@ from .measures import (
     lower_bound_check,
     lower_bound_sweep,
     association_check,
-    vanishing_sqrt_check,
 )
 from .mollifiers import (
     MollifierSpec,

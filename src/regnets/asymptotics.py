@@ -1,10 +1,10 @@
 """Epsilon-indexed nets and empirical asymptotic classification.
 
 A net is a family of grid functions (or scalars) indexed by a decreasing
-eps-grid. Moderateness (at most power growth in 1/eps) and negligibility
-(decay faster than eps^q) are decided by log-log least squares on the
-tested range only; verdicts are explicitly finite-grid certificates, not
-proofs of the quantified statements they mirror.
+eps-grid. Moderateness (at most power growth in 1/eps) is decided by
+log-log least squares on the tested range only; verdicts are explicitly
+finite-grid certificates, not proofs of the quantified statements they
+mirror.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import RegnetsError
-from .grid import GridFunction, norm_l2, norm_linf
+from .grid import GridFunction, norm_linf
 
 RESIDUAL_THRESHOLD = 0.1  # log-units rms accepted as a clean power law
 
@@ -51,10 +51,6 @@ class EpsGrid:
         """Default grid eps_j = 2^-j, j = j_min .. j_max."""
         return cls([2.0**-j for j in range(j_min, j_max + 1)])
 
-    @classmethod
-    def geometric(cls, start: float, stop: float, num: int) -> "EpsGrid":
-        return cls(np.geomspace(start, stop, num))
-
 
 @dataclass(frozen=True)
 class EpsNet:
@@ -79,11 +75,11 @@ class EpsNet:
 
 @dataclass(frozen=True)
 class AsymptoticFit:
-    """Result of a log-log regression of a seminorm against 1/eps.
+    """Result of a log-log regression of a net's sizes against 1/eps.
 
-    slope is the fitted exponent a in seminorm ~ eps^(-a); negative slope
-    means decay. verdict is one of 'moderate', 'negligible_up_to',
-    'inconclusive'; order carries ceil(slope) or the certified q.
+    slope is the fitted exponent a in size ~ eps^(-a); negative slope means
+    decay. verdict is 'moderate' or 'inconclusive'; order carries ceil(slope)
+    for a moderate net.
     """
 
     slope: float
@@ -92,22 +88,6 @@ class AsymptoticFit:
     verdict: str
     order: int | None = None
     n_points: int = 0
-
-
-_SEMINORMS = {"l2": norm_l2, "linf": norm_linf}
-
-
-def _net_values(net: EpsNet, seminorm: str) -> np.ndarray:
-    if seminorm not in _SEMINORMS:
-        raise RegnetsError(f"unknown seminorm {seminorm!r}; expected 'l2' or 'linf'")
-    fn = _SEMINORMS[seminorm]
-    vals = []
-    for it in net.items:
-        if isinstance(it, GridFunction):
-            vals.append(fn(it))
-        else:
-            vals.append(abs(float(it)))
-    return np.asarray(vals)
 
 
 def loglog_fit(eps: np.ndarray, values: np.ndarray):
@@ -127,41 +107,20 @@ def loglog_fit(eps: np.ndarray, values: np.ndarray):
     return float(coef[0]), float(coef[1]), float(np.sqrt(np.mean(resid**2))), n
 
 
-def classify_moderate(net: EpsNet, seminorm: str = "l2") -> AsymptoticFit:
-    """Fit log seminorm vs log(1/eps); 'moderate' iff the power law is clean."""
-    vals = _net_values(net, seminorm)
+def classify_moderate(net: EpsNet) -> AsymptoticFit:
+    """Fit log size vs log(1/eps); 'moderate' iff the power law is clean.
+
+    The size of a grid item is its sup norm, of a scalar its absolute value.
+    """
+    vals = np.asarray(
+        [norm_linf(it) if isinstance(it, GridFunction) else abs(float(it)) for it in net.items]
+    )
     slope, intercept, rms, n = loglog_fit(np.asarray(net.eps.values), vals)
     if n < 4:
         return AsymptoticFit(slope, intercept, rms, "inconclusive", n_points=n)
     if rms < RESIDUAL_THRESHOLD:
         return AsymptoticFit(
             slope, intercept, rms, "moderate", order=math.ceil(slope), n_points=n
-        )
-    return AsymptoticFit(slope, intercept, rms, "inconclusive", n_points=n)
-
-
-def classify_negligible(net: EpsNet, seminorm: str = "l2", q_max: int = 1) -> AsymptoticFit:
-    """Certificate of decay at least eps^q_max on the tested range.
-
-    Passes iff the fitted slope is <= -q_max + 0.1 with a clean power law.
-    This is an empirical statement about the tested eps only, never a proof
-    of negligibility for all q.
-    """
-    if q_max < 1:
-        raise RegnetsError(f"q_max must be >= 1, got {q_max}")
-    vals = _net_values(net, seminorm)
-    eps = np.asarray(net.eps.values)
-    if np.all(vals == 0.0):
-        # identically zero net: negligible to every tested order
-        return AsymptoticFit(
-            -math.inf, -math.inf, 0.0, "negligible_up_to", order=q_max, n_points=len(vals)
-        )
-    slope, intercept, rms, n = loglog_fit(eps, vals)
-    if n < 4:
-        return AsymptoticFit(slope, intercept, rms, "inconclusive", n_points=n)
-    if rms < RESIDUAL_THRESHOLD and slope <= -q_max + 0.1:
-        return AsymptoticFit(
-            slope, intercept, rms, "negligible_up_to", order=q_max, n_points=n
         )
     return AsymptoticFit(slope, intercept, rms, "inconclusive", n_points=n)
 

@@ -8,7 +8,8 @@ directory containing a copy of the config, CSV tables, a checks table and a
 manifest recording versions and timings; a run that fails writes none.
 Exit codes: 0 all checks pass, 1 a check failed or the run failed, 2 schema
 violation or unusable input (atoms and density weights that are not a
-probability measure, scales the grid or box cannot hold).
+probability measure, density parameters that are not finite and > 0, scales
+the grid or box cannot hold).
 """
 
 from __future__ import annotations
@@ -250,7 +251,7 @@ def _run_selftest(config, workers):
     )
     eg = EpsGrid.dyadic(2, 7)
     net = EpsNet(eg, [scaled_mollifier(spec, e, grid) for e in eg])
-    fit = classify_moderate(net, seminorm="linf")
+    fit = classify_moderate(net)
     checks.append(
         ("mollifier_sup_moderate", fit.verdict == "moderate" and abs(fit.slope - 1.0) < 0.1,
          f"slope={fit.slope:.3f}")
@@ -270,16 +271,16 @@ def _run_sqrt_measure(config, workers):
     spec = MollifierSpec(dim=dim, exponent=config["mollifier_exponent"])
     eps_grid = config["eps_grid"]
     atoms = config["atoms"]
+    if not atoms and config["density"] == "none":
+        raise ConfigError("sqrt_measure needs atoms and/or a density")
     density = None
     weight = 0.0
-    if config["density"] != "none":
-        p = list(config["density_params"])
-        key = "half_width" if config["density"] == "uniform" else "sigma"
-        density = Density(kind=config["density"], params={key: p[0] if p else 1.0})
-        weight = config["density_weight"]
-    if not atoms and density is None:
-        raise ConfigError("sqrt_measure needs atoms and/or a density")
     try:
+        if config["density"] != "none":
+            p = list(config["density_params"])
+            key = "half_width" if config["density"] == "uniform" else "sigma"
+            density = Density(kind=config["density"], params={key: p[0] if p else 1.0})
+            weight = config["density_weight"]
         measure = Measure(atoms=atoms, density=density, density_weight=weight, dim=dim)
     except RegnetsError as exc:
         raise ConfigError(f"atoms/density: {exc}") from exc

@@ -136,17 +136,6 @@ class GridFunction:
     def abs2(self) -> "GridFunction":
         return GridFunction(self.grid, np.abs(self.values) ** 2)
 
-    def boundary_decay(self) -> float:
-        """Max |value| on the outermost layer relative to the global max.
-
-        Diagnostic for the periodic-box truncation: inputs should satisfy
-        boundary_decay() < 1e-10 for the box to stand in for R^n.
-        """
-        peak = np.abs(self.values).max()
-        if peak == 0.0:
-            return 0.0
-        return float(_edge_max(self.values) / peak)
-
 
 def _check_same_grid(u, v):
     if u.grid != v.grid:

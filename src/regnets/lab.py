@@ -145,22 +145,19 @@ def association_of_solution(
     eps_grid: EpsGrid,
     tests: list[TestFunction],
     snapshot_time: float,
-    pair_density: bool = False,
 ) -> dict:
     """Cauchy behavior of pairings <u_eps(t*), psi> across the sweep.
 
     Successive differences must shrink by an average factor >= 1.5 for an
     association verdict; otherwise the report states that no association was
-    detected at this tolerance. With pair_density=True the pairings use
-    |u_eps|^2 instead (the squared-net side of the dichotomy).
+    detected at this tolerance.
     """
     pairings = {id(psi): [] for psi in tests}
     for eps in eps_grid:
         res = solve(problem, eps, snapshot_times=[snapshot_time], record_norms=False)
         u = res.snapshots[snapshot_time]
-        field = u.abs2() if pair_density else u
         for psi in tests:
-            pairings[id(psi)].append(pair(field, psi))
+            pairings[id(psi)].append(pair(u, psi))
     per_test = []
     for psi in tests:
         vals = pairings[id(psi)]

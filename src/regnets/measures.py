@@ -3,9 +3,8 @@
 From a finite atoms + density mixture mu build h_eps = mu * rho_eps, its
 strictly positive pointwise square root phi_eps, and the compactly
 supported cutoff representative g_eps = chi_j phi_eps with the dyadic index
-j coupled to eps. Reports verify the interior lower bound of h_eps, the
-association of phi_eps^2 with mu, and the vanishing of the square root
-itself against test functions.
+j coupled to eps. Reports verify the interior lower bound of h_eps and the
+association of phi_eps^2 with mu.
 """
 
 from __future__ import annotations
@@ -28,15 +27,23 @@ class Density:
 
     kind 'uniform': constant on the centered box/interval of half-width a.
     kind 'gaussian': exp(-|x|^2 / (2 sigma^2)) normalized.
-    Both are normalized to unit mass; the Measure applies the weight.
+    params holds at most the kind's own key ('half_width' or 'sigma'),
+    finite and > 0; a missing key means 1. Both are normalized to unit
+    mass; the Measure applies the weight.
     """
 
     kind: str
     params: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        if self.kind not in ("uniform", "gaussian"):
+        allowed = {"uniform": "half_width", "gaussian": "sigma"}.get(self.kind)
+        if allowed is None:
             raise RegnetsError(f"unknown density kind {self.kind!r}")
+        for key, value in self.params.items():
+            if key != allowed:
+                raise RegnetsError(f"{self.kind} density takes only {allowed!r}, got {key!r}")
+            if not (math.isfinite(value) and value > 0.0):
+                raise RegnetsError(f"{key} must be finite and > 0, got {value}")
 
     def evaluate(self, dim: int, *coords):
         arrs = [np.asarray(c, dtype=float) for c in coords]
@@ -378,34 +385,3 @@ def association_check(
             }
         )
     return {"tests": per_test, "passes": all(t["passes"] for t in per_test)}
-
-
-def vanishing_sqrt_check(sqrt_net: EpsNet, tests: list[TestFunction]) -> dict:
-    """Slope of |<phi_eps, psi>| vs eps should equal n/2 for every psi.
-
-    The square root itself pairs to zero even though its square carries the
-    measure; the decay exponent n/2 is the quantitative signature.
-    """
-    grid0 = next(
-        it.grid for it in sqrt_net.items if isinstance(it, GridFunction)
-    )
-    n = grid0.dim
-    per_test = []
-    for psi in tests:
-        vals = np.asarray([abs(pair(item, psi)) for item in sqrt_net.items])
-        slope, _, rms, _ = loglog_fit(np.asarray(sqrt_net.eps.values), vals)
-        decay = -slope  # exponent of eps
-        per_test.append(
-            {
-                "psi": psi.name,
-                "pairings": vals.tolist(),
-                "decay_exponent": decay,
-                "fit_rms": rms,
-                "passes": abs(decay - n / 2.0) <= 0.1,
-            }
-        )
-    return {
-        "target": n / 2.0,
-        "tests": per_test,
-        "passes": all(t["passes"] for t in per_test),
-    }

@@ -77,37 +77,6 @@ class MollifierSpec:
         r2 = sum((np.asarray(c, dtype=float) / eps) ** 2 for c in coords)
         return self.of_r2(r2, power) / eps ** (self.dim * power)
 
-    def derivative_sup_norm(self, alpha) -> float:
-        """sup |d^alpha rho| for |alpha| <= 2.
-
-        Closed forms: the gradient and Hessian of (1+|x|^2)^(-m/2) are
-        elementary; the sup of each component is found on a dense radial
-        sample (the profiles are radial times monomials, with maxima at
-        moderate radius).
-        """
-        alpha = tuple(int(a) for a in np.atleast_1d(alpha))
-        if len(alpha) != self.dim or min(alpha) < 0 or sum(alpha) > 2:
-            raise RegnetsError(f"unsupported multi-index {alpha}")
-        c, m = self.normalization, self.m
-        k = sum(alpha)
-        t = np.linspace(0.0, 10.0, 200001)  # radius sample; maxima are at r = O(1)
-        w = (1.0 + t**2)
-        if k == 0:
-            return float(c)
-        if k == 1:
-            # d_i rho = -c m x_i (1+|x|^2)^(-m/2-1); sup along the x_i axis
-            vals = c * m * t * w ** (-m / 2.0 - 1.0)
-            return float(vals.max())
-        if alpha.count(2) == 1:
-            # d_i^2 rho = c m (1+|x|^2)^(-m/2-2) ((m+2) x_i^2 - (1+|x|^2));
-            # extremes along the x_i axis (|at origin| = c m is one candidate)
-            vals = np.abs(c * m * w ** (-m / 2.0 - 2.0) * ((m + 2.0) * t**2 - w))
-            return float(vals.max())
-        # mixed d_1 d_2 rho = c m (m+2) x_1 x_2 (1+|x|^2)^(-m/2-2);
-        # maximal on the diagonal x_1 = x_2 = t/sqrt(2)
-        vals = c * m * (m + 2.0) * (t**2 / 2.0) * (1.0 + t**2) ** (-m / 2.0 - 2.0)
-        return float(vals.max())
-
     def sqrt_l1_norm(self) -> float:
         """Integral of sqrt(rho) over R^n (finite iff the tail has m0 > 2n)."""
         if self.tail_exponent <= 2 * self.dim:
@@ -120,30 +89,6 @@ class MollifierSpec:
             return 2.0 * val
         val, _ = integrate.quad(lambda r: r * f(r), 0.0, np.inf, limit=200)
         return 2.0 * np.pi * val
-
-    def mass_by_quadrature(self) -> float:
-        if self.dim == 1:
-            val, _ = integrate.quad(self.radial, 0.0, np.inf, limit=200)
-            return 2.0 * val
-        val, _ = integrate.quad(lambda r: r * self.radial(r), 0.0, np.inf, limit=200)
-        return 2.0 * np.pi * val
-
-    def tail_bound_report(self) -> dict:
-        """Check rho(r) >= C r^(-m0) at r = 2^0 .. 2^7; record the best C.
-
-        C = 1 (the idealized bound starting at radius 1) is unattainable for
-        any unit-mass radially decreasing profile, so the certificate is the
-        measured positive constant together with the exponent.
-        """
-        radii = 2.0 ** np.arange(8)
-        ratios = self.radial(radii) * radii**self.tail_exponent
-        return {
-            "radii": radii,
-            "ratios": ratios,
-            "constant": float(ratios.min()),
-            "exponent": self.tail_exponent,
-            "passes": bool(ratios.min() > 0.0),
-        }
 
 
 def _sample_scaled(spec: MollifierSpec, eps: float, grid: SpatialGrid, power: float):

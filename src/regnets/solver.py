@@ -495,7 +495,7 @@ def uniqueness_probe(
     growth order of the unperturbed solution.
     """
     if q < 0:
-        raise ValueError("q must be nonnegative")
+        raise RegnetsError(f"q must be nonnegative, got {q}")
     difference = replace(problem, initial=lambda e: e**q * perturbation, forcing=None)
     diffs = []
     sups = []

@@ -13,7 +13,6 @@ from regnets import (
     SpatialGrid,
     check_log_type,
     classify_moderate,
-    classify_negligible,
     loglog_fit,
 )
 
@@ -40,7 +39,7 @@ class TestEpsGrid:
             EpsGrid([0.5, 0.25, 0.125, 0.0625, 0.03125, 0.0])
 
     def test_geometric_endpoints(self):
-        eg = EpsGrid.geometric(0.5, 0.01, 7)
+        eg = EpsGrid(np.geomspace(0.5, 0.01, 7))
         assert eg.values[0] == pytest.approx(0.5)
         assert eg.values[-1] == pytest.approx(0.01)
         assert len(eg) == 7
@@ -114,24 +113,11 @@ class TestClassification:
         fit = classify_moderate(self._scalar_net(lambda e: np.exp(1.0 / e)))
         assert fit.verdict == "inconclusive"
 
-    def test_negligible_up_to_order(self):
-        fit = classify_negligible(self._scalar_net(lambda e: e**6), q_max=5)
-        assert fit.verdict == "negligible_up_to"
-        assert fit.order == 5
-
-    def test_slow_decay_fails_negligibility(self):
-        fit = classify_negligible(self._scalar_net(lambda e: e**1), q_max=3)
-        assert fit.verdict == "inconclusive"
-
-    def test_identically_zero_net_is_negligible(self):
-        fit = classify_negligible(self._scalar_net(lambda e: 0.0), q_max=9)
-        assert fit.verdict == "negligible_up_to"
-
     def test_grid_valued_net_with_seminorm(self):
         eg = EpsGrid.dyadic(2, 9)
         grid = SpatialGrid(1, 1.0, 64)
         items = [GridFunction(grid, np.full(64, 1.0 / e)) for e in eg.values]
-        fit = classify_moderate(EpsNet(eg, items), seminorm="linf")
+        fit = classify_moderate(EpsNet(eg, items))
         assert fit.verdict == "moderate"
         assert fit.slope == pytest.approx(1.0, abs=1e-10)
 

@@ -220,8 +220,12 @@ class TestRun:
         [
             ("atoms = 0:0.5\ndensity = gaussian\ndensity_weight = 0.2\n", "total mass 0.7 != 1"),
             ("atoms = 0:1;1:0\n", "atom weights must be positive"),
+            ("density = gaussian\ndensity_weight = 1\ndensity_params = -1.0\n",
+             "sigma must be finite and > 0, got -1.0"),
+            ("density = uniform\ndensity_weight = 1\ndensity_params = 0.0\n",
+             "half_width must be finite and > 0, got 0.0"),
         ],
-        ids=["total_mass", "zero_weight"],
+        ids=["total_mass", "zero_weight", "negative_sigma", "zero_half_width"],
     )
     def test_measure_that_is_not_a_probability_exits_2(self, tmp_path, capsys, measure, message):
         path = _write(tmp_path, SQRT_MEASURE.replace("atoms = 0:1\n", measure))

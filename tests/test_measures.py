@@ -24,7 +24,6 @@ from regnets import (
     mollify_measure,
     oscillatory_bump,
     sqrt_root,
-    vanishing_sqrt_check,
 )
 
 SPEC_1D = MollifierSpec(dim=1, exponent=3.0)
@@ -74,6 +73,22 @@ class TestMeasure:
             dim=1,
         )
         assert mu.median_radius() == pytest.approx(0.6745, abs=1e-3)
+
+    @pytest.mark.parametrize(
+        "kind, params, message",
+        [
+            ("gaussian", {"sgima": 0.5}, "gaussian density takes only 'sigma', got 'sgima'"),
+            ("uniform", {"sigma": 0.5}, "uniform density takes only 'half_width', got 'sigma'"),
+            ("gaussian", {"sigma": 0.0}, "sigma must be finite and > 0, got 0.0"),
+            ("uniform", {"half_width": -1.0}, "half_width must be finite and > 0, got -1.0"),
+            ("gaussian", {"sigma": float("nan")}, "sigma must be finite and > 0, got nan"),
+        ],
+        ids=["misspelled_key", "foreign_key", "zero_sigma", "negative_half_width", "nan_sigma"],
+    )
+    def test_density_rejects_foreign_keys_and_bad_values(self, kind, params, message):
+        with pytest.raises(RegnetsError, match=message):
+            Density(kind, params)
+        Density(kind)  # the kind's default parameter stays valid
 
 
 class TestMollifyMeasure:
@@ -220,17 +235,6 @@ class TestReports:
         tests = [bump(grid, 0.0, 1.0), oscillatory_bump(grid, 0.0, 1.0, 3.0)]
         rep = association_check(squared, mu, tests, tol=1e-2)
         assert rep["passes"]
-
-    def test_vanishing_sqrt_rate(self):
-        # <phi_eps, psi> ~ eps^(n/2) ||sqrt(rho)||_L1 psi(0) for Dirac mu
-        spec = MollifierSpec(dim=1, exponent=6.0)
-        grid = SpatialGrid(1, 8.0, 32768)
-        eg = EpsGrid.dyadic(2, 7)
-        net = self._sqrt_net(Measure.dirac(), spec, eg, grid)
-        rep = vanishing_sqrt_check(net, [bump(grid, 0.0, 1.0)])
-        assert rep["passes"]
-        assert rep["tests"][0]["decay_exponent"] == pytest.approx(0.5, abs=0.1)
-
 
 @given(
     loc=st.floats(-1.0, 1.0),

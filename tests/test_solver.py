@@ -516,6 +516,16 @@ class TestAudits:
         assert rep["passes"]
         assert rep["decay_exponent"] == pytest.approx(q, abs=0.1)
 
+    def test_uniqueness_probe_rejects_negative_q(self):
+        grid = SpatialGrid(1, 2.0, 64)
+        zero = GridFunction.zeros(grid)
+        problem = CauchyProblem(
+            grid=grid, coeffs=_free_net(), initial=lambda e: zero, forcing=None,
+            T=0.1, time_steps=4,
+        )
+        with pytest.raises(RegnetsError, match="q must be nonnegative, got -1"):
+            uniqueness_probe(problem, EpsGrid.dyadic(1, 6), q=-1, perturbation=zero)
+
 
 @given(steps=st.integers(10, 60), seed=st.integers(0, 10**6))
 @settings(max_examples=10, deadline=None)
