@@ -8,8 +8,8 @@ directory containing a copy of the config, CSV tables, a checks table and a
 manifest recording versions and timings; a run that fails writes none.
 Exit codes: 0 all checks pass, 1 a check failed or the run failed, 2 schema
 violation or unusable input (atoms and density weights that are not a
-probability measure, density parameters that are not finite and > 0, scales
-the grid or box cannot hold).
+probability measure, density parameters that are not finite and > 0, density
+keys that would be ignored, scales the grid or box cannot hold).
 """
 
 from __future__ import annotations
@@ -270,16 +270,20 @@ def _run_sqrt_measure(config, workers):
     grid = SpatialGrid(dim, config["half_width"], config["points_per_axis"])
     spec = MollifierSpec(dim=dim, exponent=config["mollifier_exponent"])
     eps_grid = config["eps_grid"]
-    atoms = config["atoms"]
-    if not atoms and config["density"] == "none":
-        raise ConfigError("sqrt_measure needs atoms and/or a density")
+    atoms, kind, p = config["atoms"], config["density"], config["density_params"]
+    if kind == "none":
+        if not atoms:
+            raise ConfigError("sqrt_measure needs atoms and/or a density")
+        if p or config["density_weight"]:
+            raise ConfigError("density_params and density_weight need a density")
+    elif len(p) > 1:
+        raise ConfigError(f"density_params takes one value for a {kind} density, got {len(p)}")
     density = None
     weight = 0.0
     try:
-        if config["density"] != "none":
-            p = list(config["density_params"])
-            key = "half_width" if config["density"] == "uniform" else "sigma"
-            density = Density(kind=config["density"], params={key: p[0] if p else 1.0})
+        if kind != "none":
+            key = "half_width" if kind == "uniform" else "sigma"
+            density = Density(kind=kind, params={key: p[0] if p else 1.0})
             weight = config["density_weight"]
         measure = Measure(atoms=atoms, density=density, density_weight=weight, dim=dim)
     except RegnetsError as exc:
@@ -301,8 +305,7 @@ def _run_sqrt_measure(config, workers):
     sweep = lower_bound_sweep(measure, spec, eps_grid, grid, K_radius)
     slope_ok = abs(sweep["slope"] - sweep["target_exponent"]) <= 0.15
 
-    # chi_j is 1 exactly on the ball r <= 2^j; r as CutoffFamily.chi_j computes it
-    r = np.sqrt(sum(np.asarray(c) ** 2 for c in grid.meshgrid()))
+    r = grid.radius()  # chi_j is 1 exactly on the ball r <= 2^j
     chi = CutoffFamily()
     plateau_ok = True
     for eps, phi in zip(eps_grid, sqrt_net.items):
@@ -498,6 +501,12 @@ _RUNNERS = {
 # entry points
 
 
+def _positive_int(s):
+    if not s.strip().isdigit() or int(s) < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {s!r}")
+    return int(s)
+
+
 def run(config_path, out_dir=None, workers: int = 1) -> int:
     try:
         config = parse_config(config_path)
@@ -576,7 +585,7 @@ def main(argv=None) -> int:
     sub = parser.add_subparsers(dest="command", required=True)
     p_run = sub.add_parser("run", help="execute the experiment described by a config file")
     p_run.add_argument("config", help="path to a flat key = value config file")
-    p_run.add_argument("--workers", type=int, default=1, metavar="N")
+    p_run.add_argument("--workers", type=_positive_int, default=1, metavar="N")
     p_run.add_argument("--out", default=None, metavar="DIR")
     p_rep = sub.add_parser("report", help="summarize a results directory")
     p_rep.add_argument("directory")

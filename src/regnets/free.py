@@ -65,13 +65,7 @@ class ProbabilityDensitySnapshot:
 
 def mass_check(snapshot: ProbabilityDensitySnapshot, tol: float = 1e-8) -> dict:
     gap = abs(snapshot.mass - 1.0)
-    return {
-        "t": snapshot.t,
-        "eps": snapshot.eps,
-        "mass": snapshot.mass,
-        "gap": gap,
-        "passes": gap <= tol,
-    }
+    return {"gap": gap, "passes": gap <= tol}
 
 
 def dispersive_bound_check(
@@ -85,8 +79,6 @@ def dispersive_bound_check(
     bound = sqrt_l1 / (4.0 * np.pi * abs(t)) ** (n / 2.0)
     measured = norm_linf(u_t)
     return {
-        "eps": eps,
-        "t": t,
         "measured_sup": measured,
         "bound": bound,
         "ratio": measured / bound,
@@ -125,21 +117,17 @@ def vague_convergence_check(
     per_test = []
     for row, psi in zip(pairings, tests):
         vals = np.asarray(row)
-        slope, _, rms, _ = loglog_fit(eps_arr, vals)
-        decay = -slope
+        decay = -loglog_fit(eps_arr, vals)[0]
         per_test.append(
             {
                 "psi": psi.name,
-                "params": psi.params,
                 "pairings": vals.tolist(),
                 "decay_exponent": float(decay),
-                "fit_rms": rms,
                 "passes": decay >= n / 2.0 - 0.1,
             }
         )
     mass_ok = all(abs(m - 1.0) <= 1e-8 for m in masses)
     return {
-        "t": t,
         "masses": masses,
         "mass_stays_one": mass_ok,
         "tests": per_test,
@@ -165,7 +153,6 @@ def cross_validate_cn(
     from .solver import CauchyProblem, CoefficientNet, constant_coefficient, solve
 
     errors = []
-    sizes = []
     for level in range(refinements + 1):
         M = grid.points_per_axis * 2**level
         Nt = time_steps * 2**level
@@ -182,12 +169,10 @@ def cross_validate_cn(
         cn = solve(problem, eps=1.0, record_norms=False)
         exact = free_evolve(u0, T)
         errors.append(norm_l2(cn.final - exact))
-        sizes.append((M, Nt))
     orders = [
         float(np.log2(errors[i] / errors[i + 1])) for i in range(len(errors) - 1)
     ]
     return {
-        "sizes": sizes,
         "errors": errors,
         "orders": orders,
         "min_order": min(orders) if orders else np.nan,

@@ -10,7 +10,7 @@ a real array, and test functions must be float64.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
 
@@ -64,6 +64,10 @@ class SpatialGrid:
         if self.dim == 1:
             return (x,)
         return np.meshgrid(x, x, indexing="ij")
+
+    def radius(self) -> np.ndarray:
+        """|x| at every node."""
+        return np.sqrt(sum(c**2 for c in self.meshgrid()))
 
     @lru_cache(maxsize=64)
     def wavenumbers(self) -> tuple[np.ndarray, ...]:
@@ -149,7 +153,7 @@ def _edge_max(values: np.ndarray):
 
 @dataclass(frozen=True)
 class TestFunction:
-    """Real compactly supported test function with a symbolic descriptor.
+    """Real compactly supported test function with a name.
 
     Carries the sampled GridFunction plus the generating profile so that
     exact point evaluations (e.g. at measure atoms) remain available. The
@@ -161,7 +165,6 @@ class TestFunction:
 
     gridfunc: GridFunction
     name: str
-    params: dict = field(default_factory=dict)
     profile: object = None  # callable x -> psi(x); (x, y) in 2d
 
     def __post_init__(self):
@@ -196,10 +199,10 @@ def _bump_profile(center: np.ndarray, width):
 
 
 def _catalog_entry(
-    grid: SpatialGrid, name: str, center, width: float, factor=None, **params
+    grid: SpatialGrid, name: str, center, width: float, factor=None
 ) -> TestFunction:
     """Sample a catalog test function: a bump of radius width at center, times
-    factor(x_1 - c_1) when factor is given. params join center and width."""
+    factor(x_1 - c_1) when factor is given."""
     center = np.atleast_1d(np.asarray(center, dtype=float))
     if np.max(np.abs(center)) + width >= grid.half_width:
         raise GridError("bump support reaches the box boundary")
@@ -211,10 +214,7 @@ def _catalog_entry(
             return base(*coords) * factor(coords[0] - center[0])
 
     return TestFunction(
-        gridfunc=GridFunction.from_profile(grid, profile),
-        name=name,
-        params={"center": tuple(center), "width": width, **params},
-        profile=profile,
+        gridfunc=GridFunction.from_profile(grid, profile), name=name, profile=profile
     )
 
 
@@ -228,8 +228,7 @@ def oscillatory_bump(
 ) -> TestFunction:
     """Bump modulated by cos(k x_1): oscillatory member of the test catalog."""
     return _catalog_entry(
-        grid, "oscillatory_bump", center, width,
-        factor=lambda s: np.cos(wavenumber * s), wavenumber=wavenumber,
+        grid, "oscillatory_bump", center, width, factor=lambda s: np.cos(wavenumber * s)
     )
 
 

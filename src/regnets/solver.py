@@ -241,7 +241,6 @@ class CauchyProblem:
 
 @dataclass
 class SolveResult:
-    eps: float
     times: np.ndarray
     norm_history: np.ndarray  # rows (t, l2, h1, h2)
     snapshots: dict  # t -> GridFunction
@@ -400,7 +399,6 @@ def solve(
         take_snapshots(t_new, u)
 
     return SolveResult(
-        eps=eps,
         times=np.asarray(times),
         norm_history=np.asarray(history) if record_norms else np.zeros((0, 4)),
         snapshots=snapshots,
@@ -460,9 +458,6 @@ def energy_audit(result: SolveResult, problem: CauchyProblem, eps: float) -> dic
     C2 = T * (problem.coeffs.c0 + sup_v)
     rhs = max(C2, 1e-300) * np.exp(C1) * (g_h1sq + f_int)
     return {
-        "eps": eps,
-        "lhs_sup_h1_sq": lhs,
-        "rhs_bound": float(rhs),
         "ratio": float(lhs / rhs) if rhs > 0 else np.inf,
         "C1": C1,
         "C2": C2,
@@ -491,29 +486,23 @@ def uniqueness_probe(
     that problem is solved directly (no subtraction of two O(1) solutions,
     so no roundoff floor) and its space-time L2 norm
     sqrt(dt * sum_m ||v_m||_L2^2) over all Nt + 1 states is recorded. Passes
-    iff the fitted decay exponent is at least q - N, with N the measured
-    growth order of the unperturbed solution.
+    iff the fitted decay exponent is at least q - N, with N the growth order
+    of the unperturbed solution's sup_t H1 net (solution_sup_h1_net).
     """
     if q < 0:
         raise RegnetsError(f"q must be nonnegative, got {q}")
     difference = replace(problem, initial=lambda e: e**q * perturbation, forcing=None)
     diffs = []
-    sups = []
     for eps in eps_grid:
-        base = solve(problem, eps)
         l2 = solve(difference, eps).norm_history[:, 1]
         diffs.append(float(np.sqrt(problem.dt * np.sum(l2**2))))
-        sups.append(float(np.max(base.norm_history[:, 2])))
+    sups = solution_sup_h1_net(problem, eps_grid).items
     eps_arr = np.asarray(eps_grid.values)
     slope, _, rms, npts = loglog_fit(eps_arr, np.asarray(diffs))
-    growth_slope, _, _, _ = loglog_fit(eps_arr, np.asarray(sups))
     decay = -slope if npts >= 4 else np.inf  # exponent of eps
-    N = max(growth_slope, 0.0)
+    N = max(loglog_fit(eps_arr, np.asarray(sups))[0], 0.0)
     return {
-        "q": q,
-        "diff_norms": diffs,
         "decay_exponent": float(decay),
-        "growth_order": float(N),
         "fit_rms": rms,
         "passes": bool(decay >= q - N - 0.2),
     }

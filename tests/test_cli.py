@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from regnets import ConfigError, EpsGrid, io
-from regnets.cli import main, parse_config, run, report
+from regnets.cli import EXPERIMENTS, main, parse_config, run, report
 
 
 def _write(tmp_path, text, name="config.txt"):
@@ -35,6 +35,34 @@ COHERENCE = (
     + EPS6
     + "T = 0.1\ntime_steps = 10\n"
 )
+
+# one passing config per experiment, each about 1 s
+PASSING = {
+    "selftest": SELFTEST,
+    "sqrt_measure": (
+        "experiment = sqrt_measure\ndim = 1\nhalf_width = 32\npoints_per_axis = 16384\n"
+        "eps_grid = 0.25,0.17678,0.125,0.088388,0.0625,0.044194\n"
+        "mollifier_exponent = 3\natoms = 0.1:1\n"
+    ),
+    "schrodinger_sweep": (
+        "experiment = schrodinger_sweep\ndim = 1\nhalf_width = 1.5\npoints_per_axis = 2048\n"
+        "coefficient_family = log_time\ndata = bump\n" + EPS6 + "T = 0.1\ntime_steps = 10\n"
+    ),
+    "free_example": (
+        "experiment = free_example\ndim = 1\nhalf_width = 64\npoints_per_axis = 16384\n"
+        "mollifier_exponent = 6\neps_grid = 0.5,0.35355,0.25,0.17678,0.125,0.088388\n"
+        "times = 0.5\n"
+    ),
+    "coherence": (
+        "experiment = coherence\ndim = 1\nhalf_width = 4\npoints_per_axis = 2048\n"
+        "eps_grid = 0.25,0.177,0.125,0.088,0.0625,0.0442\nmollifier_exponent = 4\n"
+        "T = 0.1\ntime_steps = 50\ntolerance = 1e-2\n"
+    ),
+    "association": (
+        "experiment = association\ndim = 1\nhalf_width = 2\npoints_per_axis = 2048\n"
+        "mollifier_exponent = 4\n" + EPS6 + "T = 0.1\ntime_steps = 50\nsnapshot_time = 0.1\n"
+    ),
+}
 
 
 # ---------------------------------------------------------------------------
@@ -224,8 +252,13 @@ class TestRun:
              "sigma must be finite and > 0, got -1.0"),
             ("density = uniform\ndensity_weight = 1\ndensity_params = 0.0\n",
              "half_width must be finite and > 0, got 0.0"),
+            ("density = gaussian\ndensity_weight = 1\ndensity_params = 0.5, 7.0\n",
+             "density_params takes one value for a gaussian density, got 2"),
+            ("atoms = 0:1\ndensity = none\ndensity_weight = 0.5\ndensity_params = -3\n",
+             "density_params and density_weight need a density"),
         ],
-        ids=["total_mass", "zero_weight", "negative_sigma", "zero_half_width"],
+        ids=["total_mass", "zero_weight", "negative_sigma", "zero_half_width",
+             "two_density_params", "density_keys_without_density"],
     )
     def test_measure_that_is_not_a_probability_exits_2(self, tmp_path, capsys, measure, message):
         path = _write(tmp_path, SQRT_MEASURE.replace("atoms = 0:1\n", measure))
@@ -234,6 +267,11 @@ class TestRun:
         err = capsys.readouterr().err
         assert "config error" in err and message in err
         assert not out.exists()
+
+    @pytest.mark.parametrize("name", EXPERIMENTS)
+    def test_every_experiment_runs_and_passes(self, tmp_path, name):
+        # an experiment without a config in PASSING fails here
+        assert run(_write(tmp_path, PASSING[name]), out_dir=tmp_path / "res") == 0
 
     def test_2d_cutoff_plateau_is_the_euclidean_ball(self, tmp_path):
         # chi_j is radial, so it is below 1 in the corners of the square |x|_inf <= 2^j
@@ -292,6 +330,15 @@ class TestMain:
         manifest = io.read_manifest(out / "manifest.txt")
         assert manifest["experiment"] == "selftest"
         assert "seed" not in manifest
+
+    @pytest.mark.parametrize("workers", ["0", "-3"])
+    def test_workers_below_one_exits_2(self, tmp_path, capsys, workers):
+        out = tmp_path / "res"
+        with pytest.raises(SystemExit) as exc:
+            main(["run", str(_write(tmp_path, SWEEP)), "--out", str(out), "--workers", workers])
+        assert exc.value.code == 2
+        assert "argument --workers: must be a positive integer" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_main_report_dispatch(self, tmp_path):
         assert main(["report", str(tmp_path / "missing")]) == 2

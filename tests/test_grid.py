@@ -269,7 +269,7 @@ class TestTestFunctions:
         g = SpatialGrid(1, 1.0, 64)
         wide = GridFunction.from_profile(g, lambda x: 1.0 + 0.0 * x)
         with pytest.raises(GridError):
-            TestFunction(wide, name="constant", params={})
+            TestFunction(wide, name="constant")
 
     @pytest.mark.parametrize(
         "shape, node",
@@ -293,17 +293,17 @@ class TestTestFunctions:
             return GridFunction(g, v)
 
         with pytest.raises(GridError):
-            TestFunction(peak_plus_node(node), name="edge", params={})
+            TestFunction(peak_plus_node(node), name="edge")
         # one cell further in, the same node is interior
         inward = tuple(1 if i == 0 else -2 if i == -1 else i for i in node)
-        TestFunction(peak_plus_node(inward), name="interior", params={})
+        TestFunction(peak_plus_node(inward), name="interior")
 
     def test_complex_dtype_is_not_real_even_with_zero_imaginary_part(self):
         g = SpatialGrid(1, 4.0, 256)
         real = bump(g, 0.0, 1.0).gridfunc
-        TestFunction(real, name="real", params={})
+        TestFunction(real, name="real")
         with pytest.raises(GridError, match="real-valued"):
-            TestFunction(GridFunction(g, real.values.astype(complex)), name="cplx", params={})
+            TestFunction(GridFunction(g, real.values.astype(complex)), name="cplx")
 
     @pytest.mark.parametrize("make", [bump, oscillatory_bump, linear_bump])
     def test_support_reaching_the_box_is_rejected(self, make):

@@ -91,6 +91,30 @@ class TestMeasure:
         Density(kind)  # the kind's default parameter stays valid
 
 
+class TestDensityOracles:
+    # the closed forms and quadratures against grid sums of Density.evaluate;
+    # 1.5 lies between a and a*sqrt(2), where the 2-D box cuts the circle
+    @pytest.mark.parametrize(
+        "dim, points, rel", [(1, 16384, 2e-3), (2, 1024, 2e-2)], ids=["1d", "2d"]
+    )
+    @pytest.mark.parametrize(
+        "kind, params",
+        [("uniform", {"half_width": 1.25}), ("gaussian", {"sigma": 0.5})],
+        ids=["uniform", "gaussian"],
+    )
+    def test_ball_mass_and_integral_match_grid_quadrature(self, dim, points, rel, kind, params):
+        grid = SpatialGrid(dim, 4.0, points)
+        density = Density(kind, params)
+        dens = density.evaluate(dim, *grid.meshgrid())
+        psi = bump(grid, 0.2 if dim == 1 else (0.2, 0.1), 1.5)
+        on_grid = grid.cell_volume * np.sum(dens * psi.gridfunc.values)
+        assert density.integrate_against(dim, psi.profile) == pytest.approx(on_grid, rel=rel)
+        r = grid.radius()
+        for radius in (0.5, 1.0, 1.5, 2.0):
+            on_grid = grid.cell_volume * np.sum(dens[r <= radius])
+            assert density.ball_mass(dim, radius) == pytest.approx(on_grid, rel=rel)
+
+
 class TestMollifyMeasure:
     def test_dirac_gives_scaled_mollifier(self):
         from regnets import scaled_mollifier
