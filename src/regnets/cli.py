@@ -2,14 +2,15 @@
 
 Configs are flat key = value text files, one experiment per file, validated
 against a typed schema (dim in {1, 2}, points_per_axis a power of two
->= 8, half_width > 0, typed atom lists, enumerated keys) before anything
-runs. Nothing in a run is random. A run that finishes writes a results
+>= 8, half_width and T > 0, time_steps >= 1, typed atom lists, enumerated
+keys) before anything runs. Nothing in a run is random. A run that finishes writes a results
 directory containing a copy of the config, CSV tables, a checks table and a
 manifest recording versions and timings; a run that fails writes none.
 Exit codes: 0 all checks pass, 1 a check failed or the run failed, 2 schema
 violation or unusable input (atoms and density weights that are not a
 probability measure, density parameters that are not finite and > 0, density
-keys that would be ignored, scales the grid or box cannot hold).
+keys that would be ignored, scales the grid or box cannot hold, mollifier
+exponents or times the experiment cannot use, workers < 1).
 """
 
 from __future__ import annotations
@@ -86,25 +87,24 @@ def _parse_atoms(s):
 
 
 _TYPES = {
-    "int": int,
     "float": float,
     "floats": _parse_floats,
     "dim": _checked(int, lambda d: d in (1, 2), "1 or 2"),
     "points": _checked(int, lambda n: n >= 8 and not n & (n - 1), "a power of two >= 8"),
     "length": _checked(float, lambda x: x > 0, "positive"),
+    "count": _checked(int, lambda n: n >= 1, "a positive integer"),
     "atoms": _parse_atoms,
 }
 
 # key -> (type name or tuple of allowed strings, required?, default).
 # Units: lengths in box units, times in the equation's time unit, eps
-# dimensionless.
+# dimensionless. Every experiment but selftest samples a mollifier on a
+# grid over an eps sweep, so it takes the keys of _GRID_SCHEMA.
 _GRID_SCHEMA = {
     "dim": ("dim", True, None),
     "half_width": ("length", True, None),
     "points_per_axis": ("points", True, None),
-}
-
-_EPS_SCHEMA = {
+    "mollifier_exponent": ("float", False, 0.0),
     "eps_grid": ("floats", True, None),
 }
 
@@ -112,8 +112,6 @@ _SCHEMAS = {
     "selftest": {},
     "sqrt_measure": {
         **_GRID_SCHEMA,
-        **_EPS_SCHEMA,
-        "mollifier_exponent": ("float", False, 0.0),
         "atoms": ("atoms", False, ()),
         "density": (("none", "uniform", "gaussian"), False, "none"),
         "density_params": ("floats", False, ()),
@@ -122,39 +120,32 @@ _SCHEMAS = {
     },
     "schrodinger_sweep": {
         **_GRID_SCHEMA,
-        **_EPS_SCHEMA,
         "coefficient_family": (("constant", "log_time", "jump"), True, None),
         "coefficient_base": ("float", False, 1.0),
         "potential": ("float", False, 0.0),
         "data": (("dirac", "bump"), False, "dirac"),
-        "mollifier_exponent": ("float", False, 0.0),
-        "T": ("float", True, None),
-        "time_steps": ("int", True, None),
+        "T": ("length", True, None),
+        "time_steps": ("count", True, None),
     },
     "free_example": {
         **_GRID_SCHEMA,
-        **_EPS_SCHEMA,
         "mollifier_exponent": ("float", True, None),
         "times": ("floats", True, None),
     },
     "coherence": {
         **_GRID_SCHEMA,
-        **_EPS_SCHEMA,
-        "mollifier_exponent": ("float", False, 0.0),
         "coefficient_base": ("float", False, 1.0),
         "potential": ("float", False, 0.0),
         "data": (("gaussian", "bump"), False, "gaussian"),
-        "T": ("float", True, None),
-        "time_steps": ("int", True, None),
+        "T": ("length", True, None),
+        "time_steps": ("count", True, None),
         "tolerance": ("float", False, 1e-3),
     },
     "association": {
         **_GRID_SCHEMA,
-        **_EPS_SCHEMA,
-        "mollifier_exponent": ("float", False, 0.0),
         "coefficient_base": ("float", False, 1.0),
-        "T": ("float", True, None),
-        "time_steps": ("int", True, None),
+        "T": ("length", True, None),
+        "time_steps": ("count", True, None),
         "snapshot_time": ("float", True, None),
     },
 }
@@ -233,6 +224,15 @@ def parse_config(path) -> dict:
 # checks: list of (name, passed, detail); tables: {filename: (header, rows)}
 
 
+def _grid_and_spec(config):
+    """The experiment's grid and mollifier; an exponent m <= n is a config error."""
+    grid = SpatialGrid(config["dim"], config["half_width"], config["points_per_axis"])
+    try:
+        return grid, MollifierSpec(dim=grid.dim, exponent=config["mollifier_exponent"])
+    except RegnetsError as exc:
+        raise ConfigError(f"mollifier_exponent: {exc}") from exc
+
+
 def _run_selftest(config, workers):
     checks = []
     grid = SpatialGrid(1, 4.0, 8192)
@@ -266,10 +266,8 @@ def _run_selftest(config, workers):
 
 
 def _run_sqrt_measure(config, workers):
-    dim = config["dim"]
-    grid = SpatialGrid(dim, config["half_width"], config["points_per_axis"])
-    spec = MollifierSpec(dim=dim, exponent=config["mollifier_exponent"])
-    eps_grid = config["eps_grid"]
+    grid, spec = _grid_and_spec(config)
+    dim, eps_grid = grid.dim, config["eps_grid"]
     atoms, kind, p = config["atoms"], config["density"], config["density_params"]
     if kind == "none":
         if not atoms:
@@ -344,10 +342,9 @@ def _coefficient_net(config, grid):
 
 
 def _run_schrodinger_sweep(config, workers):
-    grid = SpatialGrid(config["dim"], config["half_width"], config["points_per_axis"])
+    grid, spec = _grid_and_spec(config)
     coeffs = _coefficient_net(config, grid)
     eps_grid = config["eps_grid"]
-    spec = MollifierSpec(dim=grid.dim, exponent=config["mollifier_exponent"])
 
     if config["data"] == "dirac":
         initial = lambda e: scaled_mollifier(spec, e, grid)
@@ -388,11 +385,12 @@ def _run_schrodinger_sweep(config, workers):
 
 
 def _run_free_example(config, workers):
-    dim = config["dim"]
-    grid = SpatialGrid(dim, config["half_width"], config["points_per_axis"])
-    spec = MollifierSpec(dim=dim, exponent=config["mollifier_exponent"])
-    eps_grid = config["eps_grid"]
-    times = list(config["times"])
+    grid, spec = _grid_and_spec(config)
+    dim, eps_grid, times = grid.dim, config["eps_grid"], list(config["times"])
+    if spec.tail_exponent <= 2 * dim:
+        raise ConfigError(f"mollifier_exponent {spec.m} <= 2n: sqrt(rho) is not integrable")
+    if 0.0 in times:
+        raise ConfigError("times must be nonzero: the dispersive bound is infinite at t = 0")
     center = 0.0 if dim == 1 else (0.0,) * dim
     off = 1.0 if dim == 1 else (1.0, 0.5)
     tests = [bump(grid, center, 1.0), bump(grid, off, 0.5),
@@ -433,9 +431,8 @@ def _run_free_example(config, workers):
 
 
 def _run_coherence(config, workers):
-    grid = SpatialGrid(config["dim"], config["half_width"], config["points_per_axis"])
+    grid, spec = _grid_and_spec(config)
     coeffs = _coefficient_net(config, grid)
-    spec = MollifierSpec(dim=grid.dim, exponent=config["mollifier_exponent"])
     if config["data"] == "gaussian":
         g0 = GridFunction.from_profile(
             grid, lambda *c: np.exp(-sum(x**2 for x in c))
@@ -464,9 +461,8 @@ def _run_association(config, workers):
         raise ConfigError(
             f"snapshot_time {config['snapshot_time']} is outside [0, T] with T={config['T']}"
         )
-    grid = SpatialGrid(config["dim"], config["half_width"], config["points_per_axis"])
+    grid, spec = _grid_and_spec(config)
     coeffs = _coefficient_net(config, grid)
-    spec = MollifierSpec(dim=grid.dim, exponent=config["mollifier_exponent"])
     problem = CauchyProblem(
         grid=grid, coeffs=coeffs,
         initial=lambda e: scaled_mollifier(spec, e, grid),
@@ -509,17 +505,16 @@ def _positive_int(s):
 
 def run(config_path, out_dir=None, workers: int = 1) -> int:
     try:
+        if not (isinstance(workers, int) and workers >= 1):
+            raise ConfigError(f"workers must be a positive integer, got {workers!r}")
         config = parse_config(config_path)
         name = config["experiment"]
         t0 = time.perf_counter()
         checks, tables = _RUNNERS[name](config, workers)
-    except ConfigError as exc:
-        loc = f" (line {exc.line})" if exc.line else ""
+    except (ConfigError, ResolutionError, BoxTooSmallError) as exc:
+        # a schema violation, unusable input, or scales the grid or box cannot hold
+        loc = f" (line {exc.line})" if getattr(exc, "line", None) else ""
         print(f"config error{loc}: {exc}", file=sys.stderr)
-        return 2
-    except (ResolutionError, BoxTooSmallError) as exc:
-        # the config asks for scales its grid or box cannot hold
-        print(f"config error: {exc}", file=sys.stderr)
         return 2
     except RegnetsError as exc:
         print(f"run failed: {exc}", file=sys.stderr)

@@ -182,6 +182,14 @@ class TestFunction:
         return self.profile(*point)
 
 
+def _support_box(psi: TestFunction) -> list[tuple[float, float]]:
+    """Per axis, the span of psi's nonzero nodes widened by one spacing: it
+    holds the support of the profile. Empty, (inf, -inf), if psi samples to 0."""
+    x, h = psi.grid.axis_coords(), psi.grid.spacing
+    nodes = [x[i] for i in np.nonzero(psi.gridfunc.values)]
+    return [(c.min(initial=np.inf) - h, c.max(initial=-np.inf) + h) for c in nodes]
+
+
 def _bump_profile(center: np.ndarray, width):
     def profile(*coords):
         arrs = [np.asarray(c, dtype=float) for c in coords]

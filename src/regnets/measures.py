@@ -17,7 +17,7 @@ from scipy import integrate
 
 from .asymptotics import EpsGrid, EpsNet, loglog_fit
 from .errors import BoxTooSmallError, PositivityError, RegnetsError
-from .grid import GridFunction, SpatialGrid, TestFunction, pair, periodic_convolve
+from .grid import GridFunction, SpatialGrid, TestFunction, _support_box, pair, periodic_convolve
 from .mollifiers import MollifierSpec
 
 
@@ -45,72 +45,54 @@ class Density:
             if not (math.isfinite(value) and value > 0.0):
                 raise RegnetsError(f"{key} must be finite and > 0, got {value}")
 
-    def evaluate(self, dim: int, *coords):
+    @property
+    def _scale(self) -> float:
+        """a (uniform) or sigma (gaussian); 1 when the key is absent."""
+        return float(next(iter(self.params.values()), 1.0))
+
+    def evaluate(self, *coords):
         arrs = [np.asarray(c, dtype=float) for c in coords]
+        dim, s = len(arrs), self._scale
         if self.kind == "uniform":
-            a = float(self.params.get("half_width", 1.0))
-            inside = np.ones_like(arrs[0], dtype=bool)
-            for c in arrs:
-                inside &= np.abs(c) <= a
-            return inside / (2.0 * a) ** dim
-        sigma = float(self.params.get("sigma", 1.0))
+            inside = np.logical_and.reduce([np.abs(c) <= s for c in arrs])
+            return inside / (2.0 * s) ** dim
         r2 = sum(c**2 for c in arrs)
-        return np.exp(-r2 / (2.0 * sigma**2)) / (2.0 * np.pi * sigma**2) ** (dim / 2.0)
+        return np.exp(-r2 / (2.0 * s**2)) / (2.0 * np.pi * s**2) ** (dim / 2.0)
 
     def support_radius(self) -> float:
         """Radius beyond which the density is negligible (exact for uniform)."""
-        if self.kind == "uniform":
-            a = float(self.params.get("half_width", 1.0))
-            return a * math.sqrt(2.0)  # box corner in 2d, |a| in 1d is <= this
-        return 8.0 * float(self.params.get("sigma", 1.0))
+        # uniform: the box corner a sqrt(2) in 2d (a in 1d is below it)
+        return self._scale * (math.sqrt(2.0) if self.kind == "uniform" else 8.0)
 
     def ball_mass(self, dim: int, r: float) -> float:
-        """Mass of the centered ball of radius r (1d exact; 2d radial quad)."""
-        if dim == 1:
-            if self.kind == "uniform":
-                a = float(self.params.get("half_width", 1.0))
-                return min(r / a, 1.0)
-            sigma = float(self.params.get("sigma", 1.0))
-            return math.erf(r / (sigma * math.sqrt(2.0)))
-        if self.kind == "uniform":
-            # radial integral of the box indicator; do it numerically
-            val, _ = integrate.quad(
-                lambda s: s * self._box_angle_fraction(s), 0.0, r, limit=200
-            )
-            a = float(self.params.get("half_width", 1.0))
-            return val * 2.0 * np.pi / (2.0 * a) ** 2
-        sigma = float(self.params.get("sigma", 1.0))
-        return 1.0 - math.exp(-(r**2) / (2.0 * sigma**2))
-
-    def _box_angle_fraction(self, s: float) -> float:
-        """Fraction of the circle of radius s inside the centered box (2d)."""
-        a = float(self.params.get("half_width", 1.0))
-        if s <= a:
-            return 1.0
-        if s >= a * math.sqrt(2.0):
-            return 0.0
-        return 1.0 - (4.0 / np.pi) * (math.acos(a / s) * 2.0) / 2.0
-
-    def integrate_against(self, dim: int, profile) -> float:
-        """Integral of density * profile (quadrature oracle for mu(psi))."""
-        if self.kind == "uniform":
-            # over the box itself, where the density is constant
-            a = float(self.params.get("half_width", 1.0))
+        """Mass of the centered ball of radius r, in closed form."""
+        s = self._scale
+        if self.kind == "gaussian":
             if dim == 1:
-                val, _ = integrate.quad(profile, -a, a, limit=200)
-            else:
-                val, _ = integrate.dblquad(lambda y, x: profile(x, y), -a, a, -a, a)
-            return val / (2.0 * a) ** dim
-        sigma = float(self.params.get("sigma", 1.0))
+                return math.erf(r / (s * math.sqrt(2.0)))
+            return 1.0 - math.exp(-(r**2) / (2.0 * s**2))
         if dim == 1:
-            f = lambda x: profile(x) * math.exp(-(x**2) / (2 * sigma**2))
-            val, _ = integrate.quad(f, -8 * sigma, 8 * sigma, limit=200)
-            return val / (sigma * math.sqrt(2 * np.pi))
-        b = self.support_radius()
-        val, _ = integrate.dblquad(
-            lambda y, x: profile(x, y) * float(self.evaluate(dim, x, y)), -b, b, -b, b
-        )
-        return val
+            return min(r / s, 1.0)
+        if r >= s * math.sqrt(2.0):
+            return 1.0
+        # the disk minus the four circular segments outside the square [-a, a]^2
+        area = math.pi * r**2
+        if r > s:
+            area -= 4.0 * (r**2 * math.acos(s / r) - s * math.sqrt(r**2 - s**2))
+        return area / (2.0 * s) ** 2
+
+    def integrate_against(self, psi: TestFunction) -> float:
+        """Integral of density * psi (quadrature oracle for mu(psi)).
+
+        One nquad over the box [-a, a]^n (uniform) or [-8 sigma, 8 sigma]^n
+        (gaussian) cut down to the support of psi; 0 if they do not meet.
+        """
+        b = self._scale * (1.0 if self.kind == "uniform" else 8.0)
+        ranges = [(max(lo, -b), min(hi, b)) for lo, hi in _support_box(psi)]
+        if any(lo >= hi for lo, hi in ranges):
+            return 0.0
+        f = lambda *x: psi.profile(*x) * float(self.evaluate(*x))
+        return integrate.nquad(f, ranges, opts={"limit": 200})[0]
 
 
 @dataclass(frozen=True)
@@ -178,9 +160,7 @@ class Measure:
         """mu(psi) = sum of atom weights * psi(atom) + density quadrature."""
         val = sum(w * float(psi(*loc)) for loc, w in self.atoms)
         if self.density is not None and self.density_weight > 0:
-            val += self.density_weight * self.density.integrate_against(
-                self.dim, psi.profile
-            )
+            val += self.density_weight * self.density.integrate_against(psi)
         return val
 
 
@@ -201,7 +181,7 @@ def mollify_measure(
         h += w * spec.evaluate_scaled(eps, *np.ix_(*(x - li for li in loc)))
     if mu.density is not None and mu.density_weight > 0:
         coords = grid.meshgrid()
-        dens = mu.density.evaluate(grid.dim, *coords)
+        dens = mu.density.evaluate(*coords)
         rho = spec.evaluate_scaled(eps, *coords)
         h += mu.density_weight * periodic_convolve(dens, rho, grid)
     if h.min() <= 0.0:

@@ -13,7 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate
 from scipy.special import gamma
 
 from .errors import RegnetsError
@@ -57,16 +56,9 @@ class MollifierSpec:
 
     # -- profile evaluation ------------------------------------------------
 
-    def radial(self, r):
-        """rho as a function of |x|."""
-        return self.of_r2(np.asarray(r, dtype=float) ** 2)
-
     def of_r2(self, r2, power: float = 1.0):
         """rho**power as a function of |x|^2: c^p (1 + |x|^2)^(-m p / 2)."""
         return self.normalization**power * (1.0 + r2) ** (-self.m * power / 2.0)
-
-    def evaluate(self, *coords):
-        return self.of_r2(sum(np.asarray(c, dtype=float) ** 2 for c in coords))
 
     def evaluate_scaled(self, eps: float, *coords, power: float = 1.0):
         """rho_eps(x)**power with rho_eps(x) = eps^(-n) rho(x / eps).
@@ -78,17 +70,16 @@ class MollifierSpec:
         return self.of_r2(r2, power) / eps ** (self.dim * power)
 
     def sqrt_l1_norm(self) -> float:
-        """Integral of sqrt(rho) over R^n (finite iff the tail has m0 > 2n)."""
+        """Integral of sqrt(rho) over R^n (finite iff the tail has m0 > 2n).
+
+        Closed form c^(1/2) pi^(n/2) Gamma(m/4 - n/2) / Gamma(m/4).
+        """
         if self.tail_exponent <= 2 * self.dim:
             raise RegnetsError(
                 f"sqrt(rho) not integrable: tail exponent {self.tail_exponent} <= 2n"
             )
-        f = lambda r: np.sqrt(self.radial(r))
-        if self.dim == 1:
-            val, _ = integrate.quad(f, 0.0, np.inf, limit=200)
-            return 2.0 * val
-        val, _ = integrate.quad(lambda r: r * f(r), 0.0, np.inf, limit=200)
-        return 2.0 * np.pi * val
+        n, s = self.dim, self.m / 4.0
+        return float(np.sqrt(self.normalization) * np.pi ** (n / 2.0) * gamma(s - n / 2.0) / gamma(s))
 
 
 def _sample_scaled(spec: MollifierSpec, eps: float, grid: SpatialGrid, power: float):

@@ -229,6 +229,12 @@ class CauchyProblem:
     T: float
     time_steps: int
 
+    def __post_init__(self):
+        if not (np.isfinite(self.T) and self.T > 0.0):
+            raise RegnetsError(f"T must be finite and > 0, got {self.T}")
+        if not (isinstance(self.time_steps, (int, np.integer)) and self.time_steps >= 1):
+            raise RegnetsError(f"time_steps must be an integer >= 1, got {self.time_steps}")
+
     @property
     def dt(self) -> float:
         return self.T / self.time_steps
@@ -432,22 +438,13 @@ def energy_audit(result: SolveResult, problem: CauchyProblem, eps: float) -> dic
     g = problem.initial(eps)
     g_h1sq = norm_hk(g, 1) ** 2
 
-    # forcing integrals by trapezoid over the solver's own time grid
+    # trapezoid over the solver's own times; d_t f central inside, one-sided at 0 and T
     f_int = 0.0
     if problem.forcing is not None:
-        ts = result.times
-        f_l2 = []
-        fdot_hm1 = []
-        dt = problem.dt
-        for t in ts:
-            fv = GridFunction(grid, problem.forcing_values(eps, t))
-            f_l2.append(norm_l2(fv) ** 2)
-            fp = problem.forcing_values(eps, min(t + dt, T))
-            fm = problem.forcing_values(eps, max(t - dt, 0.0))
-            span = min(t + dt, T) - max(t - dt, 0.0)
-            dfi = GridFunction(grid, (fp - fm) / span)
-            fdot_hm1.append(norm_h_minus1(dfi) ** 2)
-        f_int = float(trapezoid(np.asarray(f_l2) + np.asarray(fdot_hm1), ts))
+        F = np.array([problem.forcing_values(eps, t) for t in result.times])
+        f_l2 = [norm_l2(GridFunction(grid, f)) ** 2 for f in F]
+        fdot = [norm_h_minus1(GridFunction(grid, d)) ** 2 for d in np.gradient(F, problem.dt, axis=0)]
+        f_int = float(trapezoid(np.add(f_l2, fdot), result.times))
 
     c, V = problem.coeffs.c, problem.coeffs.V
     sup_dtc = _dt_sup(c, eps, result.times, grid)

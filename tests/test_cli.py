@@ -184,9 +184,14 @@ class TestRun:
             (SQRT_MEASURE.replace("atoms = 0:1", "atoms = a:1"), 6),
             (SWEEP.replace("points_per_axis = 128", "points_per_axis = 100"), 4),
             (SWEEP.replace("half_width = 4", "half_width = 0"), 3),
+            (SWEEP.replace("time_steps = 10", "time_steps = 0"), 8),
+            (SWEEP.replace("time_steps = 10", "time_steps = -5"), 8),
+            (COHERENCE.replace("T = 0.1", "T = 0"), 6),
+            (COHERENCE.replace("T = 0.1", "T = -0.1"), 6),
         ],
         ids=["coefficient_family", "sweep_data", "coherence_data", "density",
-             "dim", "atom_without_weight", "atom_not_a_number", "points_per_axis", "half_width"],
+             "dim", "atom_without_weight", "atom_not_a_number", "points_per_axis", "half_width",
+             "zero_time_steps", "negative_time_steps", "zero_T", "negative_T"],
     )
     def test_value_outside_enumeration_exits_2(self, tmp_path, capsys, text, bad_line):
         out = tmp_path / "res"
@@ -234,6 +239,32 @@ class TestRun:
         assert run(path, out_dir=out) == 2
         err = capsys.readouterr().err
         assert "config error" in err and "snapshot_time 0.2" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            (SWEEP + "mollifier_exponent = 0.5\n",
+             "mollifier_exponent: exponent m=0.5 must exceed dimension n=1"),
+            (PASSING["free_example"].replace("mollifier_exponent = 6", "mollifier_exponent = 1.5"),
+             "mollifier_exponent 1.5 <= 2n: sqrt(rho) is not integrable"),
+            (PASSING["free_example"].replace("times = 0.5", "times = 0.0"),
+             "times must be nonzero"),
+        ],
+        ids=["exponent_below_dim", "free_example_sqrt_not_integrable", "free_example_zero_time"],
+    )
+    def test_unusable_mollifier_or_times_exits_2(self, tmp_path, capsys, text, message):
+        out = tmp_path / "res"
+        assert run(_write(tmp_path, text), out_dir=out) == 2
+        err = capsys.readouterr().err
+        assert "config error" in err and message in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("workers", [0, -3])
+    def test_library_run_with_workers_below_one_exits_2(self, tmp_path, capsys, workers):
+        out = tmp_path / "res"
+        assert run(_write(tmp_path, SWEEP), out_dir=out, workers=workers) == 2
+        assert f"workers must be a positive integer, got {workers}" in capsys.readouterr().err
         assert not out.exists()
 
     def test_sqrt_measure_without_atoms_or_density_exits_2(self, tmp_path, capsys):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.integrate import quad
 
 from regnets import (
     BoxTooSmallError,
@@ -55,8 +56,6 @@ class TestMeasure:
         # uniform on [-1,1] against a bump: mu(psi) = (1/2) * integral of psi
         grid = SpatialGrid(1, 4.0, 1024)
         psi = bump(grid, 0.0, 0.5)
-        from scipy.integrate import quad
-
         mu = Measure(
             density=Density(kind="uniform", params={"half_width": 1.0}),
             density_weight=1.0,
@@ -105,14 +104,69 @@ class TestDensityOracles:
     def test_ball_mass_and_integral_match_grid_quadrature(self, dim, points, rel, kind, params):
         grid = SpatialGrid(dim, 4.0, points)
         density = Density(kind, params)
-        dens = density.evaluate(dim, *grid.meshgrid())
+        dens = density.evaluate(*grid.meshgrid())
         psi = bump(grid, 0.2 if dim == 1 else (0.2, 0.1), 1.5)
         on_grid = grid.cell_volume * np.sum(dens * psi.gridfunc.values)
-        assert density.integrate_against(dim, psi.profile) == pytest.approx(on_grid, rel=rel)
+        assert density.integrate_against(psi) == pytest.approx(on_grid, rel=rel)
         r = grid.radius()
         for radius in (0.5, 1.0, 1.5, 2.0):
             on_grid = grid.cell_volume * np.sum(dens[r <= radius])
             assert density.ball_mass(dim, radius) == pytest.approx(on_grid, rel=rel)
+
+    @staticmethod
+    def _tight_target(density, psi, center, width):
+        # quad over the bump's own support [c - w, c + w], cut to the uniform box
+        lo, hi = center - width, center + width
+        if density.kind == "uniform":
+            a = density.params["half_width"]
+            lo, hi = max(lo, -a), min(hi, a)
+        f = lambda x: psi.profile(x) * float(density.evaluate(x))
+        return quad(f, lo, hi, epsabs=1e-15, epsrel=1e-13, limit=200)[0]
+
+    def test_integrate_matches_tight_quadrature_at_benchmark_seed_52(self):
+        # the first association test of the benchmark's spectral_nets workload
+        # at seed 52; a quad over [-8 sigma, 8 sigma] was off here by 2.9e-7
+        center, width = -0.15390089571798005, 2.0
+        psi = bump(SpatialGrid(1, 8.0, 8192), center, width)
+        density = Density("gaussian", {"sigma": 0.5})
+        mu = Measure(density=density, density_weight=1.0, dim=1)
+        target = self._tight_target(density, psi, center, width)
+        assert abs(mu.integrate(psi) - target) <= 1e-9
+
+    @pytest.mark.parametrize(
+        "kind, params",
+        [("uniform", {"half_width": 1.25}), ("gaussian", {"sigma": 0.5})],
+        ids=["uniform", "gaussian"],
+    )
+    def test_integrate_matches_tight_quadrature_over_centres(self, kind, params):
+        grid = SpatialGrid(1, 8.0, 8192)
+        density = Density(kind, params)
+        mu = Measure(density=density, density_weight=1.0, dim=1)
+        for center in np.linspace(-0.5, 0.5, 9):
+            for width in (1.5, 2.0):
+                psi = bump(grid, center, width)
+                target = self._tight_target(density, psi, center, width)
+                assert abs(mu.integrate(psi) - target) <= 1e-9, (center, width)
+
+    def test_2d_uniform_ball_mass_against_box_angle_fraction(self):
+        # oracle: 2 pi / (2a)^2 * int_0^r s f(s) ds, with f(s) the fraction of
+        # the circle of radius s inside the box [-a, a]^2
+        a = 1.25
+        density = Density("uniform", {"half_width": a})
+
+        def fraction(s):
+            if s <= a:
+                return 1.0
+            if s >= a * np.sqrt(2.0):
+                return 0.0
+            return 1.0 - (4.0 / np.pi) * np.arccos(a / s)
+
+        for r in (0.5 * a, a, 1.04 * a, 1.2 * a, 1.41 * a, 2.0 * a):
+            kinks = [k for k in (a, a * np.sqrt(2.0)) if k < r]
+            val, _ = quad(lambda s: s * fraction(s), 0.0, r, points=kinks or None,
+                          epsabs=1e-14, epsrel=1e-13, limit=200)
+            oracle = 2.0 * np.pi * val / (2.0 * a) ** 2
+            assert abs(density.ball_mass(2, r) - oracle) <= 1e-9, r
 
 
 class TestMollifyMeasure:

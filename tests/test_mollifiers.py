@@ -43,10 +43,10 @@ class TestNormalization:
         spec = MollifierSpec(dim=n, exponent=m)
         # radial quadrature: 2 int_0^inf rho dr in 1d, 2 pi int_0^inf r rho dr in 2d
         if n == 1:
-            val, _ = quad(spec.radial, 0.0, np.inf, limit=200)
+            val, _ = quad(lambda r: spec.evaluate_scaled(1.0, r), 0.0, np.inf, limit=200)
             mass = 2.0 * val
         else:
-            val, _ = quad(lambda r: r * spec.radial(r), 0.0, np.inf, limit=200)
+            val, _ = quad(lambda r: r * spec.evaluate_scaled(1.0, r), 0.0, np.inf, limit=200)
             mass = 2.0 * np.pi * val
         assert mass == pytest.approx(1.0, rel=1e-8)
 
@@ -59,7 +59,7 @@ class TestMollifierSpec:
     def test_peak_value(self):
         # rho(0) = c; scaled peak = c / eps^n  — oracle: c(1, 4) = 2/pi
         spec = MollifierSpec(dim=1, exponent=4.0)
-        assert spec.radial(0.0) == pytest.approx(2.0 / np.pi)
+        assert spec.evaluate_scaled(1.0, 0.0) == pytest.approx(2.0 / np.pi)
         grid = SpatialGrid(1, 4.0, 8192)
         rho = scaled_mollifier(spec, 0.2, grid)
         assert np.max(rho.values.real) == pytest.approx(10.0 / np.pi, rel=1e-12)
@@ -77,7 +77,7 @@ class TestMollifierSpec:
         eps = 0.25
         rho = scaled_mollifier(spec, eps, grid)
         x = grid.axis_coords()
-        expected = spec.radial(np.abs(x) / eps) / eps
+        expected = spec.evaluate_scaled(1.0, x / eps) / eps
         np.testing.assert_allclose(rho.values.real, expected, rtol=1e-12)
 
     # sqrt_delta_data samples through the same checks as scaled_mollifier;
@@ -139,6 +139,6 @@ class TestSqrtAndTails:
     def test_2d_unit_mass_against_dblquad(self):
         spec = MollifierSpec(dim=2, exponent=6.0)
         val, _ = dblquad(
-            lambda y, x: spec.evaluate(x, y), -np.inf, np.inf, -np.inf, np.inf
+            lambda y, x: spec.evaluate_scaled(1.0, x, y), -np.inf, np.inf, -np.inf, np.inf
         )
         assert val == pytest.approx(1.0, rel=1e-6)

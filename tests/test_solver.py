@@ -314,6 +314,25 @@ class TestCrankNicolson:
             solve(problem, 1.0, snapshot_times=[0.5, t])
 
     @pytest.mark.parametrize(
+        "T, steps, message",
+        [
+            (0.0, 10, "T must be finite and > 0, got 0.0"),
+            (-0.1, 10, "T must be finite and > 0, got -0.1"),
+            (float("inf"), 10, "T must be finite and > 0, got inf"),
+            (1.0, 0, "time_steps must be an integer >= 1, got 0"),
+            (1.0, -5, "time_steps must be an integer >= 1, got -5"),
+            (1.0, 2.5, "time_steps must be an integer >= 1, got 2.5"),
+        ],
+        ids=["zero_T", "negative_T", "infinite_T", "zero_steps", "negative_steps", "fractional_steps"],
+    )
+    def test_time_grid_must_be_positive(self, T, steps, message):
+        with pytest.raises(RegnetsError, match=message):
+            CauchyProblem(
+                grid=SpatialGrid(1, 1.0, 64), coeffs=_free_net(), initial=lambda e: None,
+                forcing=None, T=T, time_steps=steps,
+            )
+
+    @pytest.mark.parametrize(
         "c, V, factorizations",
         [
             (constant_coefficient(1.0), constant_coefficient(0.5), 1),
