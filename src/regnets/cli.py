@@ -1,16 +1,19 @@
 """Experiment runner: `regnets run <config>` and `regnets report <dir>`.
 
-Configs are flat key = value text files, one experiment per file, validated
-against a typed schema (dim in {1, 2}, points_per_axis a power of two
->= 8, half_width and T > 0, time_steps >= 1, typed atom lists, enumerated
-keys) before anything runs. Nothing in a run is random. A run that finishes writes a results
-directory containing a copy of the config, CSV tables, a checks table and a
-manifest recording versions and timings; a run that fails writes none.
-Exit codes: 0 all checks pass, 1 a check failed or the run failed, 2 schema
-violation or unusable input (atoms and density weights that are not a
-probability measure, density parameters that are not finite and > 0, density
-keys that would be ignored, scales the grid or box cannot hold, mollifier
-exponents or times the experiment cannot use, workers < 1).
+Configs are flat key = value text files (read by io, like manifests), one
+experiment per file, validated against a typed schema (dim in {1, 2},
+points_per_axis a power of two >= 8, half_width and T > 0, time_steps >= 1,
+typed atom lists, enumerated keys) before anything runs. Nothing in a run is
+random. A run that finishes writes a results directory containing a copy of
+the config, the experiment's CSV tables, checks.csv and a manifest recording
+versions and timings; a run that fails writes none.
+Exit codes: 0 all checks pass, 1 a check failed or the run failed (results
+that cannot be written included), 2 schema violation or unusable input (a
+config or manifest that is missing, a directory or not UTF-8, a results
+directory that names an existing file, atoms and density weights that are
+not a probability measure, density parameters that are not finite and > 0,
+density keys that would be ignored, scales the grid or box cannot hold,
+mollifier exponents or times the experiment cannot use, workers < 1).
 """
 
 from __future__ import annotations
@@ -38,6 +41,7 @@ from .grid import (
 )
 from .lab import association_of_solution, coherence_experiment, mollify_gridfunction
 from .measures import (
+    _DENSITY_PARAMETER,
     Density,
     Measure,
     association_check,
@@ -158,24 +162,7 @@ def parse_config(path) -> dict:
 
     Raises ConfigError with the offending line number on any violation.
     """
-    path = Path(path)
-    if not path.exists():
-        raise ConfigError(f"config file not found: {path}")
-    raw = {}
-    lines = {}
-    for lineno, text in enumerate(path.read_text().splitlines(), start=1):
-        line = text.strip()
-        if not line or line.startswith("#"):
-            continue
-        if "=" not in line:
-            raise ConfigError(f"expected 'key = value', got {text!r}", line=lineno)
-        key, _, value = line.partition("=")
-        key = key.strip()
-        if key in raw:
-            raise ConfigError(f"duplicate key {key!r}", line=lineno)
-        raw[key] = value.strip()
-        lines[key] = lineno
-
+    raw, lines = io._read_key_values(path, "config file")
     if "experiment" not in raw:
         raise ConfigError("missing required key 'experiment'")
     name = raw["experiment"]
@@ -256,13 +243,7 @@ def _run_selftest(config, workers):
         ("mollifier_sup_moderate", fit.verdict == "moderate" and abs(fit.slope - 1.0) < 0.1,
          f"slope={fit.slope:.3f}")
     )
-    tables = {
-        "selftest.csv": (
-            ["check", "passed", "detail"],
-            [(n, int(p), d) for n, p, d in checks],
-        )
-    }
-    return checks, tables
+    return checks, {}
 
 
 def _run_sqrt_measure(config, workers):
@@ -280,8 +261,7 @@ def _run_sqrt_measure(config, workers):
     weight = 0.0
     try:
         if kind != "none":
-            key = "half_width" if kind == "uniform" else "sigma"
-            density = Density(kind=kind, params={key: p[0] if p else 1.0})
+            density = Density(kind=kind, params={_DENSITY_PARAMETER[kind]: p[0]} if p else {})
             weight = config["density_weight"]
         measure = Measure(atoms=atoms, density=density, density_weight=weight, dim=dim)
     except RegnetsError as exc:
@@ -296,8 +276,7 @@ def _run_sqrt_measure(config, workers):
     sqrt_net = EpsNet(eps_grid, phi_items)
     squared_net = EpsNet(eps_grid, sq_items)
 
-    center = 0.0 if dim == 1 else (0.0,) * dim
-    tests = [bump(grid, center, 1.0), linear_bump(grid, center, 1.5)]
+    tests = [bump(grid, 0.0, 1.0), linear_bump(grid, 0.0, 1.5)]
     assoc = association_check(squared_net, measure, tests, tol=config["association_tol"])
     K_radius = max(1.0, measure.support_radius())
     sweep = lower_bound_sweep(measure, spec, eps_grid, grid, K_radius)
@@ -332,7 +311,7 @@ def _coefficient_net(config, grid):
     family = config.get("coefficient_family", "constant")
     base = config["coefficient_base"]
     if family == "log_time":
-        c = log_time_coefficient(base, lambda x: 0.1 * np.cos(np.pi * x / grid.half_width))
+        c = log_time_coefficient(base, lambda x, *_: 0.1 * np.cos(np.pi * x / grid.half_width))
     elif family == "jump":
         c = mollified_jump_coefficient(base, 2.0 * base, 0.0)
     else:
@@ -349,7 +328,7 @@ def _run_schrodinger_sweep(config, workers):
     if config["data"] == "dirac":
         initial = lambda e: scaled_mollifier(spec, e, grid)
     else:
-        b = bump(grid, 0.0 if grid.dim == 1 else (0.0,) * grid.dim, 1.0).gridfunc
+        b = bump(grid, 0.0, 1.0).gridfunc
         initial = lambda e: mollify_gridfunction(b, spec, e)
 
     problem = CauchyProblem(
@@ -391,10 +370,8 @@ def _run_free_example(config, workers):
         raise ConfigError(f"mollifier_exponent {spec.m} <= 2n: sqrt(rho) is not integrable")
     if 0.0 in times:
         raise ConfigError("times must be nonzero: the dispersive bound is infinite at t = 0")
-    center = 0.0 if dim == 1 else (0.0,) * dim
     off = 1.0 if dim == 1 else (1.0, 0.5)
-    tests = [bump(grid, center, 1.0), bump(grid, off, 0.5),
-             oscillatory_bump(grid, center, 1.0, 3.0)]
+    tests = [bump(grid, 0.0, 1.0), bump(grid, off, 0.5), oscillatory_bump(grid, 0.0, 1.0, 3.0)]
 
     rows = []
     slope_rows = []
@@ -438,7 +415,7 @@ def _run_coherence(config, workers):
             grid, lambda *c: np.exp(-sum(x**2 for x in c))
         )
     else:
-        g0 = bump(grid, 0.0 if grid.dim == 1 else (0.0,) * grid.dim, 1.0).gridfunc
+        g0 = bump(grid, 0.0, 1.0).gridfunc
     result = coherence_experiment(
         grid, coeffs, g0, None, spec, config["eps_grid"],
         T=config["T"], time_steps=config["time_steps"],
@@ -468,8 +445,7 @@ def _run_association(config, workers):
         initial=lambda e: scaled_mollifier(spec, e, grid),
         forcing=None, T=config["T"], time_steps=config["time_steps"],
     )
-    center = 0.0 if grid.dim == 1 else (0.0,) * grid.dim
-    tests = [bump(grid, center, 1.0), linear_bump(grid, center, 1.5)]
+    tests = [bump(grid, 0.0, 1.0), linear_bump(grid, 0.0, 1.5)]
     report = association_of_solution(problem, config["eps_grid"], tests, config["snapshot_time"])
     checks = [
         (f"pairing_cauchy_{p['psi']}_{i}", p["cauchy"], f"avg_ratio={p['avg_ratio']:.2f}")
@@ -509,6 +485,9 @@ def run(config_path, out_dir=None, workers: int = 1) -> int:
             raise ConfigError(f"workers must be a positive integer, got {workers!r}")
         config = parse_config(config_path)
         name = config["experiment"]
+        out = Path(out_dir) if out_dir else Path(f"results_{name}")
+        if out.exists() and not out.is_dir():
+            raise ConfigError(f"results directory {out} is an existing file")
         t0 = time.perf_counter()
         checks, tables = _RUNNERS[name](config, workers)
     except (ConfigError, ResolutionError, BoxTooSmallError) as exc:
@@ -521,25 +500,28 @@ def run(config_path, out_dir=None, workers: int = 1) -> int:
         return 1
     elapsed = time.perf_counter() - t0
 
-    out = Path(out_dir) if out_dir else Path(f"results_{name}")
-    out.mkdir(parents=True, exist_ok=True)
-    shutil.copy(config_path, out / "config.txt")
-    for fname, (header, rows) in tables.items():
-        io.write_csv(out / fname, header, rows)
-    io.write_csv(
-        out / "checks.csv",
-        ["check", "passed", "detail"],
-        [(n, int(p), d) for n, p, d in checks],
-    )
-    io.write_manifest(
-        out / "manifest.txt",
-        io.base_manifest(
-            experiment=name,
-            elapsed_seconds=f"{elapsed:.3f}",
-            n_checks=len(checks),
-            n_failed=sum(1 for _, p, _ in checks if not p),
-        ),
-    )
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+        shutil.copy(config_path, out / "config.txt")
+        for fname, (header, rows) in tables.items():
+            io.write_csv(out / fname, header, rows)
+        io.write_csv(
+            out / "checks.csv",
+            ["check", "passed", "detail"],
+            [(n, int(p), d) for n, p, d in checks],
+        )
+        io.write_manifest(
+            out / "manifest.txt",
+            io.base_manifest(
+                experiment=name,
+                elapsed_seconds=f"{elapsed:.3f}",
+                n_checks=len(checks),
+                n_failed=sum(1 for _, p, _ in checks if not p),
+            ),
+        )
+    except OSError as exc:
+        print(f"run failed: cannot write results: {exc}", file=sys.stderr)
+        return 1
 
     failed = [n for n, p, _ in checks if not p]
     for n, p, d in checks:

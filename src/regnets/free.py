@@ -24,6 +24,7 @@ from .grid import (
     pair,
 )
 from .mollifiers import MollifierSpec, _sample_scaled
+from .solver import CauchyProblem, CoefficientNet, constant_coefficient, solve
 
 
 def free_evolve(u0: GridFunction, t: float) -> GridFunction:
@@ -144,12 +145,11 @@ def cross_validate_cn(
 ) -> dict:
     """CN error against the spectral oracle under (dx, dt) halving.
 
-    Constant coefficients c = 1, V = 0, f = 0. The spectral solution is
-    computed on the finest grid and restricted to coarser (nested) grids;
-    the observed order should be about 2 (assert >= 1.8 upstream).
+    Constant coefficients c = 1, V = 0, f = 0. Each level samples u0 on its
+    own grid and compares the Crank-Nicolson solution there with the exact
+    spectral evolution of the same samples; the observed order should be
+    about 2 (assert >= 1.8 upstream).
     """
-    from .solver import CauchyProblem, CoefficientNet, constant_coefficient, solve
-
     errors = []
     for level in range(refinements + 1):
         M = grid.points_per_axis * 2**level

@@ -190,7 +190,18 @@ def _support_box(psi: TestFunction) -> list[tuple[float, float]]:
     return [(c.min(initial=np.inf) - h, c.max(initial=-np.inf) + h) for c in nodes]
 
 
-def _bump_profile(center: np.ndarray, width):
+def _point(coords, dim: int) -> tuple[float, ...]:
+    """A point of R^dim. A scalar or a single coordinate stands for every
+    axis; any other number of coordinates than dim raises GridError."""
+    point = tuple(float(v) for v in np.atleast_1d(coords))
+    if len(point) == 1:
+        return point * dim
+    if len(point) != dim:
+        raise GridError(f"a point of R^{dim} takes 1 or {dim} coordinates, got {len(point)}")
+    return point
+
+
+def _bump_profile(center, width):
     def profile(*coords):
         arrs = [np.asarray(c, dtype=float) for c in coords]
         r2 = sum((c - ci) ** 2 for c, ci in zip(arrs, center)) / width**2
@@ -209,9 +220,9 @@ def _bump_profile(center: np.ndarray, width):
 def _catalog_entry(
     grid: SpatialGrid, name: str, center, width: float, factor=None
 ) -> TestFunction:
-    """Sample a catalog test function: a bump of radius width at center, times
-    factor(x_1 - c_1) when factor is given."""
-    center = np.atleast_1d(np.asarray(center, dtype=float))
+    """Sample a catalog test function: a bump of radius width at center (see
+    _point), times factor(x_1 - c_1) when factor is given."""
+    center = _point(center, grid.dim)
     if np.max(np.abs(center)) + width >= grid.half_width:
         raise GridError("bump support reaches the box boundary")
     base = _bump_profile(center, width)

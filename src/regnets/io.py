@@ -12,7 +12,9 @@ import time
 from pathlib import Path
 
 import numpy as np
+import scipy
 
+from . import __version__
 from .errors import ConfigError
 
 
@@ -22,28 +24,37 @@ def write_manifest(path, entries: dict) -> None:
     Path(path).write_text("\n".join(lines) + "\n")
 
 
-def read_manifest(path) -> dict:
-    path = Path(path)
-    if not path.exists():
-        raise ConfigError(f"manifest not found: {path}")
-    entries = {}
-    for lineno, raw in enumerate(path.read_text().splitlines(), start=1):
+def _read_key_values(path, what: str) -> tuple[dict, dict]:
+    """Flat key = value lines, # comments skipped -> (entries, line of each key).
+    A missing, unreadable or non-UTF-8 file, a line without '=' and a repeated
+    key raise ConfigError; what names the file in the message."""
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except FileNotFoundError:
+        raise ConfigError(f"{what} not found: {path}") from None
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot read {what} {path}: {exc}") from None
+    entries, lines = {}, {}
+    for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
         if "=" not in line:
-            raise ConfigError(f"malformed manifest line: {raw!r}", line=lineno)
+            raise ConfigError(f"expected 'key = value', got {raw!r}", line=lineno)
         key, _, value = line.partition("=")
-        entries[key.strip()] = value.strip()
-    return entries
+        key = key.strip()
+        if key in entries:
+            raise ConfigError(f"duplicate key {key!r}", line=lineno)
+        entries[key], lines[key] = value.strip(), lineno
+    return entries, lines
+
+
+def read_manifest(path) -> dict:
+    return _read_key_values(path, "manifest")[0]
 
 
 def base_manifest(**extra) -> dict:
     """Common manifest header: package versions and timestamp."""
-    import scipy
-
-    from . import __version__
-
     return {
         "created": time.strftime("%Y-%m-%dT%H:%M:%S"),
         "regnets_version": __version__,

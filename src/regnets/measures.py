@@ -17,8 +17,10 @@ from scipy import integrate
 
 from .asymptotics import EpsGrid, EpsNet, loglog_fit
 from .errors import BoxTooSmallError, PositivityError, RegnetsError
-from .grid import GridFunction, SpatialGrid, TestFunction, _support_box, pair, periodic_convolve
+from .grid import GridFunction, SpatialGrid, TestFunction, _point, _support_box, pair, periodic_convolve
 from .mollifiers import MollifierSpec
+
+_DENSITY_PARAMETER = {"uniform": "half_width", "gaussian": "sigma"}
 
 
 @dataclass(frozen=True)
@@ -36,7 +38,7 @@ class Density:
     params: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        allowed = {"uniform": "half_width", "gaussian": "sigma"}.get(self.kind)
+        allowed = _DENSITY_PARAMETER.get(self.kind)
         if allowed is None:
             raise RegnetsError(f"unknown density kind {self.kind!r}")
         for key, value in self.params.items():
@@ -125,10 +127,8 @@ class Measure:
 
     @classmethod
     def dirac(cls, location=0.0, dim: int = 1) -> "Measure":
-        loc = tuple(float(v) for v in np.atleast_1d(location))
-        if len(loc) == 1 and dim == 2:
-            loc = (loc[0], loc[0])
-        return cls(atoms=[(loc, 1.0)], dim=dim)
+        """Unit atom at location; a scalar or one coordinate stands for every axis."""
+        return cls(atoms=[(_point(location, dim), 1.0)], dim=dim)
 
     def support_radius(self) -> float:
         r = max((np.linalg.norm(loc) for loc, _ in self.atoms), default=0.0)

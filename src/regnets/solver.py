@@ -71,13 +71,10 @@ def spatial_coefficient(profile) -> Coefficient:
 
 def _linear_in_time(base: float, shape_profile, rate) -> Coefficient:
     """c_eps(x,t) = base + t * rate(eps) * s(x), so d_t c = rate(eps) * s(x)."""
-
-    def s(grid):
-        return np.asarray(shape_profile(*grid.meshgrid()), dtype=float)
-
+    s = spatial_coefficient(shape_profile).evaluate
     return Coefficient(
-        evaluate=lambda eps, t, grid: base + t * rate(eps) * s(grid),
-        dt_evaluate=lambda eps, t, grid: rate(eps) * s(grid),
+        evaluate=lambda eps, t, grid: base + t * rate(eps) * s(eps, t, grid),
+        dt_evaluate=lambda eps, t, grid: rate(eps) * s(eps, t, grid),
     )
 
 
@@ -103,12 +100,9 @@ def mollified_jump_coefficient(
     only ever sees this smooth field, with the transition width standing in
     for the mollification scale.
     """
-
-    def ev(eps, t, grid):
-        x = grid.meshgrid()[0]
-        return low + (high - low) * 0.5 * (1.0 + np.tanh((x - jump_at) / width))
-
-    return Coefficient(evaluate=ev, dt_evaluate=None)
+    return spatial_coefficient(
+        lambda x, *_: low + (high - low) * 0.5 * (1.0 + np.tanh((x - jump_at) / width))
+    )
 
 
 def _dt_sup(coeffs: Sequence[Coefficient], eps: float, times, grid: SpatialGrid) -> float:
@@ -438,13 +432,21 @@ def energy_audit(result: SolveResult, problem: CauchyProblem, eps: float) -> dic
     g = problem.initial(eps)
     g_h1sq = norm_hk(g, 1) ** 2
 
-    # trapezoid over the solver's own times; d_t f central inside, one-sided at 0 and T
+    # trapezoid over the solver's own times; d_t f by the differences of
+    # np.gradient (central inside, one-sided at 0 and T) from a window of the
+    # samples m - 1, m, m + 1, so memory does not grow with the step count
     f_int = 0.0
     if problem.forcing is not None:
-        F = np.array([problem.forcing_values(eps, t) for t in result.times])
-        f_l2 = [norm_l2(GridFunction(grid, f)) ** 2 for f in F]
-        fdot = [norm_h_minus1(GridFunction(grid, d)) ** 2 for d in np.gradient(F, problem.dt, axis=0)]
-        f_int = float(trapezoid(np.add(f_l2, fdot), result.times))
+        times, dt, n = result.times, problem.dt, len(result.times)
+        window, terms = {}, []
+        for m in range(n):
+            lo, hi = max(m - 1, 0), min(m + 1, n - 1)
+            window = {k: window[k] if k in window else problem.forcing_values(eps, times[k])
+                      for k in range(lo, hi + 1)}
+            d = (window[hi] - window[lo]) / ((hi - lo) * dt)
+            f_sq = norm_l2(GridFunction(grid, window[m])) ** 2
+            terms.append(f_sq + norm_h_minus1(GridFunction(grid, d)) ** 2)
+        f_int = float(trapezoid(terms, times))
 
     c, V = problem.coeffs.c, problem.coeffs.V
     sup_dtc = _dt_sup(c, eps, result.times, grid)

@@ -86,6 +86,12 @@ class TestParseConfig:
     def test_missing_file(self, tmp_path):
         with pytest.raises(ConfigError, match="not found"):
             parse_config(tmp_path / "nope.txt")
+        # a directory and non-UTF-8 bytes are unreadable configs, not tracebacks
+        with pytest.raises(ConfigError, match="cannot read config file"):
+            parse_config(tmp_path)
+        (tmp_path / "latin1.txt").write_bytes(b"experiment = selftest\n# caf\xe9\n")
+        with pytest.raises(ConfigError, match="cannot read config file"):
+            parse_config(tmp_path / "latin1.txt")
 
     def test_malformed_line_reports_line_number(self, tmp_path):
         path = _write(tmp_path, "experiment = selftest\nthis is not a pair\n")
@@ -166,6 +172,8 @@ class TestRun:
         assert "seed" not in manifest
         assert manifest["n_failed"] == "0"
         assert "[PASS] selftest" in capsys.readouterr().out
+        # checks.csv is the only checks table
+        assert sorted(f.name for f in out.iterdir()) == ["checks.csv", "config.txt", "manifest.txt"]
 
     def test_schema_violation_exits_2(self, tmp_path, capsys):
         path = _write(tmp_path, "experiment = free_example\ndim = two\n")
@@ -201,19 +209,37 @@ class TestRun:
 
     def test_2d_jump_sweep_conserves_l2(self, tmp_path):
         # the paper's central case: a non-smooth principal coefficient in 2-D,
-        # solved on the Krylov path; the smallest eps, 0.5, is 8 grid spacings
-        text = (
-            "experiment = schrodinger_sweep\ndim = 2\nhalf_width = 1\npoints_per_axis = 32\n"
-            "coefficient_family = jump\neps_grid = 1.0,0.9,0.8,0.7,0.6,0.5\n"
-            "T = 0.1\ntime_steps = 10\n"
-        )
-        out = tmp_path / "res"
-        assert run(_write(tmp_path, text), out_dir=out) == 0
-        _, rows = io.read_csv(out / "checks.csv")
-        assert {name: passed for name, passed, _ in rows}["l2_conservation"] == "1"
+        # solved on the Krylov path; the smallest eps, 0.5, is 8 grid spacings.
+        # The log-time family's shape profile takes one coordinate per axis too.
+        for family in ("jump", "log_time"):
+            text = (
+                "experiment = schrodinger_sweep\ndim = 2\nhalf_width = 1\npoints_per_axis = 32\n"
+                f"coefficient_family = {family}\neps_grid = 1.0,0.9,0.8,0.7,0.6,0.5\n"
+                "T = 0.1\ntime_steps = 10\n"
+            )
+            out = tmp_path / family
+            assert run(_write(tmp_path, text), out_dir=out) == 0
+            _, rows = io.read_csv(out / "checks.csv")
+            assert {name: passed for name, passed, _ in rows}["l2_conservation"] == "1"
 
-    def test_missing_config_exits_2(self, tmp_path):
+    def test_missing_config_exits_2(self, tmp_path, capsys):
         assert run(tmp_path / "nope.txt", out_dir=tmp_path / "res") == 2
+        # a directory, non-UTF-8 bytes, and results that would overwrite a file
+        (tmp_path / "cfgdir").mkdir()
+        latin1 = tmp_path / "latin1.txt"
+        latin1.write_bytes(SELFTEST.encode() + b"# caf\xe9\n")
+        assert run(tmp_path / "cfgdir", out_dir=tmp_path / "res") == 2
+        assert run(latin1, out_dir=tmp_path / "res") == 2
+        assert not (tmp_path / "res").exists()
+        taken = _write(tmp_path, "not a results directory\n", name="taken")
+        assert run(_write(tmp_path, SELFTEST), out_dir=taken) == 2
+        assert taken.read_text() == "not a results directory\n"
+        err = capsys.readouterr().err
+        assert err.count("config error: cannot read config file") == 2
+        assert f"config error: results directory {taken} is an existing file" in err
+        # a results directory that cannot be made is a run failure, not a traceback
+        assert run(_write(tmp_path, SELFTEST), out_dir=taken / "res") == 1
+        assert "run failed: cannot write results" in capsys.readouterr().err
 
     def test_unusable_geometry_exits_nonzero(self, tmp_path, capsys):
         # eps far below grid resolution: the run aborts with a config error
@@ -339,6 +365,13 @@ class TestReport:
     def test_report_missing_manifest_exits_2(self, tmp_path, capsys):
         assert report(tmp_path / "nowhere") == 2
         assert "manifest not found" in capsys.readouterr().err
+        # a manifest that is a directory or not UTF-8 cannot be read
+        (tmp_path / "dir" / "manifest.txt").mkdir(parents=True)
+        (tmp_path / "latin1").mkdir()
+        (tmp_path / "latin1" / "manifest.txt").write_bytes(b"experiment = caf\xe9\n")
+        for bad in ("dir", "latin1"):
+            assert report(tmp_path / bad) == 2
+            assert "error: cannot read manifest" in capsys.readouterr().err
 
     def test_report_flags_failures(self, tmp_path, capsys):
         out = tmp_path / "res"

@@ -312,6 +312,20 @@ class TestTestFunctions:
         with pytest.raises(GridError, match="bump support reaches the box boundary"):
             make(g, 3.0, 1.0)
 
+    @pytest.mark.parametrize("make", [bump, oscillatory_bump, linear_bump])
+    def test_scalar_centre_stands_for_every_axis(self, make):
+        g2 = SpatialGrid(2, 4.0, 64)
+        explicit = make(g2, (0.0, 0.0), 1.0).gridfunc.values
+        assert np.array_equal(make(g2).gridfunc.values, explicit)
+        assert np.array_equal(make(g2, 0.0, 1.0).gridfunc.values, explicit)
+        assert np.array_equal(
+            make(g2, 0.3, 1.0).gridfunc.values, make(g2, (0.3, 0.3), 1.0).gridfunc.values
+        )
+        with pytest.raises(GridError, match="a point of R\\^2 takes 1 or 2 coordinates, got 3"):
+            make(g2, (0.0, 0.0, 0.0), 1.0)
+        with pytest.raises(GridError, match="a point of R\\^1 takes 1 or 1 coordinates, got 2"):
+            make(SpatialGrid(1, 4.0, 64), (0.0, 0.5), 1.0)
+
     def test_pair_against_bump_matches_quadrature(self):
         from scipy.integrate import quad
 

@@ -12,6 +12,7 @@ from regnets import (
     Density,
     EpsGrid,
     EpsNet,
+    GridError,
     Measure,
     MollifierSpec,
     RegnetsError,
@@ -40,6 +41,13 @@ class TestMeasure:
         assert mu.atoms == (((0.0,), 1.0),)
         mu2 = Measure.dirac(location=0.5, dim=2)
         assert mu2.atoms == (((0.5, 0.5), 1.0),)
+        assert Measure.dirac((0.5,), dim=2).atoms == mu2.atoms
+        assert Measure.dirac((0.1, 0.2), dim=2).atoms == (((0.1, 0.2), 1.0),)
+        # the rule of the test-function catalog: 1 or n coordinates
+        with pytest.raises(GridError, match="got 3"):
+            Measure.dirac((0.0, 0.0, 0.0), dim=2)
+        with pytest.raises(GridError, match="got 2"):
+            Measure.dirac((0.0, 0.5), dim=1)
 
     def test_atom_dimension_checked(self):
         with pytest.raises(RegnetsError):

@@ -1,11 +1,14 @@
 """Flux-form operator, Crank-Nicolson evolution and its audits."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.integrate import trapezoid
 
 from regnets import (
     CauchyProblem,
@@ -23,6 +26,7 @@ from regnets import (
     energy_audit,
     log_time_coefficient,
     mollified_jump_coefficient,
+    norm_h_minus1,
     norm_hk,
     norm_l2,
     power_time_coefficient,
@@ -506,6 +510,32 @@ class TestAudits:
         assert rep["C1"] > 0.0
         sup_v_T = float(np.max(np.abs(V.evaluate(eps, T, grid))))
         assert rep["C2"] == pytest.approx(T * (0.5 + sup_v_T), rel=1e-12)
+
+    def test_energy_audit_memory_does_not_grow_with_the_steps(self):
+        # 2001 forcing samples of 256 complex points are 8 MB; a window of
+        # three of them is 12 kB, and the ratio must not change
+        grid = SpatialGrid(1, 4.0, 256)
+        shape = np.exp(-grid.axis_coords() ** 2)
+        u0 = GridFunction.from_profile(grid, lambda x: np.exp(-(x**2)))
+        problem = CauchyProblem(
+            grid=grid, coeffs=_free_net(), initial=lambda e: u0,
+            forcing=lambda e, t: t * shape, T=0.25, time_steps=2000,
+        )
+        res = solve(problem, 0.5)
+        tracemalloc.start()
+        try:
+            rep = energy_audit(res, problem, 0.5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+        # the same ratio, bit for bit, as np.gradient over all samples at once
+        F = np.array([problem.forcing_values(0.5, t) for t in res.times])
+        f_l2 = [norm_l2(GridFunction(grid, f)) ** 2 for f in F]
+        fdot = [norm_h_minus1(GridFunction(grid, d)) ** 2 for d in np.gradient(F, problem.dt, axis=0)]
+        f_int = float(trapezoid(np.add(f_l2, fdot), res.times))
+        rhs = max(rep["C2"], 1e-300) * np.exp(rep["C1"]) * (norm_hk(u0, 1) ** 2 + f_int)
+        assert rep["ratio"] == float(np.max(res.norm_history[:, 2]) ** 2) / rhs
 
     def test_sup_h1_net_grows_like_a_power(self):
         from regnets import MollifierSpec
