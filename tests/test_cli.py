@@ -1,5 +1,7 @@
 """Config parsing, experiment runner exit codes, and result persistence."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -36,7 +38,8 @@ COHERENCE = (
     + "T = 0.1\ntime_steps = 10\n"
 )
 
-# one passing config per experiment, each about 1 s
+# one passing config per experiment, each about 1 s; tests/golden/<name> holds
+# the CSV files each one wrote when the golden files were last regenerated
 PASSING = {
     "selftest": SELFTEST,
     "sqrt_measure": (
@@ -151,6 +154,46 @@ class TestParseConfig:
         cfg = parse_config(_write(tmp_path, text))
         assert isinstance(cfg["eps_grid"], EpsGrid)
         assert cfg["times"] == (0.5, 1.0)
+
+
+# ---------------------------------------------------------------------------
+# golden tables
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
+
+
+def _number(cell):
+    try:
+        return float(cell)
+    except ValueError:
+        return None
+
+
+def _assert_matches_golden(out, golden):
+    """The same CSV files as golden, with the same header and row count each.
+
+    A numeric cell may move by 1e-12 of its column's largest golden magnitude
+    (a per-cell relative rule would flag roundoff in cells near zero); text
+    cells must match exactly. checks.csv is compared on check and passed
+    only: its detail echoes numbers the tables hold, or roundoff-level drifts.
+    """
+    assert sorted(f.name for f in out.glob("*.csv")) == sorted(f.name for f in golden.iterdir())
+    for path in sorted(golden.iterdir()):
+        header, rows = io.read_csv(path)
+        got_header, got_rows = io.read_csv(out / path.name)
+        assert got_header == header and len(got_rows) == len(rows), path.name
+        if path.name == "checks.csv":
+            assert [r[:2] for r in got_rows] == [r[:2] for r in rows]
+            continue
+        for col, column in enumerate(header):
+            want = [_number(r[col]) for r in rows]
+            got = [r[col] for r in got_rows]
+            if None in want:
+                assert got == [r[col] for r in rows], f"{path.name}:{column}"
+                continue
+            scale = max(abs(w) for w in want)
+            worst = max(abs(float(g) - w) for g, w in zip(got, want))
+            assert worst <= 1e-12 * scale, f"{path.name}:{column} moved by {worst:.3e}"
 
 
 # ---------------------------------------------------------------------------
@@ -328,7 +371,9 @@ class TestRun:
     @pytest.mark.parametrize("name", EXPERIMENTS)
     def test_every_experiment_runs_and_passes(self, tmp_path, name):
         # an experiment without a config in PASSING fails here
-        assert run(_write(tmp_path, PASSING[name]), out_dir=tmp_path / "res") == 0
+        out = tmp_path / "res"
+        assert run(_write(tmp_path, PASSING[name]), out_dir=out) == 0
+        _assert_matches_golden(out, GOLDEN / name)
 
     def test_2d_cutoff_plateau_is_the_euclidean_ball(self, tmp_path):
         # chi_j is radial, so it is below 1 in the corners of the square |x|_inf <= 2^j
