@@ -55,6 +55,7 @@ from .measures import (
     mollify_measure,
     sqrt_root,
     cutoff_sqrt,
+    cutoff_plateau_check,
     lower_bound_check,
     lower_bound_sweep,
     association_check,

@@ -19,6 +19,7 @@ from .errors import RegnetsError
 from .grid import GridFunction, norm_linf
 
 RESIDUAL_THRESHOLD = 0.1  # log-units rms accepted as a clean power law
+LOOSE_RESIDUAL_THRESHOLD = 0.25  # ... accepted as a power law bending to a plateau
 
 
 @dataclass(frozen=True)
@@ -78,13 +79,14 @@ class AsymptoticFit:
     """Result of a log-log regression of a net's sizes against 1/eps.
 
     slope is the fitted exponent a in size ~ eps^(-a); negative slope means
-    decay. verdict is 'moderate' or 'inconclusive'; order carries ceil(slope)
-    for a moderate net.
+    decay. rms is the fit's residual in log units, infinite with fewer than
+    4 nonzero sizes.
     """
 
     slope: float
-    verdict: str
-    order: int | None = None
+    rms: float
+    moderate: bool  # rms < RESIDUAL_THRESHOLD
+    moderate_loose: bool  # rms < LOOSE_RESIDUAL_THRESHOLD
 
 
 def loglog_fit(eps: np.ndarray, values: np.ndarray):
@@ -105,17 +107,15 @@ def loglog_fit(eps: np.ndarray, values: np.ndarray):
 
 
 def classify_moderate(net: EpsNet) -> AsymptoticFit:
-    """Fit log size vs log(1/eps); 'moderate' iff the power law is clean.
+    """Fit log size vs log(1/eps); the fit's rms decides moderateness.
 
     The size of a grid item is its sup norm, of a scalar its absolute value.
     """
     vals = np.asarray(
         [norm_linf(it) if isinstance(it, GridFunction) else abs(float(it)) for it in net.items]
     )
-    slope, _, rms, n = loglog_fit(np.asarray(net.eps.values), vals)
-    if n >= 4 and rms < RESIDUAL_THRESHOLD:
-        return AsymptoticFit(slope, "moderate", order=math.ceil(slope))
-    return AsymptoticFit(slope, "inconclusive")
+    slope, _, rms, _ = loglog_fit(np.asarray(net.eps.values), vals)
+    return AsymptoticFit(slope, rms, rms < RESIDUAL_THRESHOLD, rms < LOOSE_RESIDUAL_THRESHOLD)
 
 
 def check_log_type(eps: EpsGrid, sup_norms: Sequence[float]):

@@ -81,8 +81,12 @@ def _fmt(v):
 
 
 def read_csv(path):
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        rows = list(reader)
-    return header, rows
+    """(header, rows); an unreadable, non-UTF-8 or empty file raises ConfigError."""
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            rows = list(csv.reader(fh))
+    except (OSError, UnicodeDecodeError, csv.Error) as exc:
+        raise ConfigError(f"cannot read {path}: {exc}") from None
+    if not rows:
+        raise ConfigError(f"cannot read {path}: the file is empty")
+    return rows[0], rows[1:]

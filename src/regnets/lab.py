@@ -45,7 +45,9 @@ class CoherenceResult:
     h1_sup_diffs: list
     slope: float
     final_diff: float
-    monotone: bool
+    monotone: bool  # the differences shrink, up to 10% slack per step
+    final_below_tol: bool  # final_diff < reference_tol
+    first_order: bool  # slope >= 0.9: the difference is O(eps)
     reference_gap: float
 
 
@@ -66,8 +68,8 @@ def coherence_experiment(
     is certified by a self-convergence check against a (2M, 2Nt) run, which
     must agree to reference_tol / 10 in sup-t H1, else ReferenceError. Per
     eps the data are mollified in x and the larger H1 difference at the
-    snapshot times T/2 and T is recorded; monotone decay and the fitted
-    eps-rate form the verdict.
+    snapshot times T/2 and T is recorded; monotone decay, the final
+    difference and the fitted eps-rate form the verdict.
     """
     snapshot_times = [T / 2.0, T]
     reference = CauchyProblem(
@@ -112,15 +114,14 @@ def coherence_experiment(
         u = snapshots(mollified, eps)
         diffs.append(max(norm_hk(u[t] - ref[t], 1) for t in snapshot_times))
 
-    slope = loglog_fit(np.asarray(eps_grid.values), np.asarray(diffs))[0]
-    monotone = all(
-        diffs[i + 1] <= diffs[i] * 1.1 + 1e-15 for i in range(len(diffs) - 1)
-    )
+    slope = -loglog_fit(np.asarray(eps_grid.values), np.asarray(diffs))[0]  # exponent of eps
     return CoherenceResult(
         h1_sup_diffs=diffs,
-        slope=-slope,  # exponent of eps
+        slope=slope,
         final_diff=diffs[-1],
-        monotone=monotone,
+        monotone=all(diffs[i + 1] <= diffs[i] * 1.1 + 1e-15 for i in range(len(diffs) - 1)),
+        final_below_tol=diffs[-1] < reference_tol,
+        first_order=slope >= 0.9,
         reference_gap=gap,
     )
 

@@ -299,19 +299,33 @@ def lower_bound_sweep(
 ) -> dict:
     """Per-eps infima of h_eps on the ball and their exponent fit.
 
-    The decisive certificate is the slope of log(inf) vs log(1/eps): it must
-    match -(m0 - n), i.e. the infimum scales like eps^(m0-n).
+    The decisive certificate is the slope of log(inf) vs log(1/eps): it passes
+    iff it matches -(m0 - n) within 0.15, i.e. the infimum scales like eps^(m0-n).
     """
     infs = []
     for eps in eps_grid:
         h = mollify_measure(mu, spec, eps, grid)
         infs.append(lower_bound_check(h, mu, spec, eps, K_radius)["measured_inf"])
-    slope = loglog_fit(np.asarray(eps_grid.values), np.asarray(infs))[0]
+    slope = -loglog_fit(np.asarray(eps_grid.values), np.asarray(infs))[0]  # exponent of eps
+    target = spec.tail_exponent - spec.dim
     return {
         "inf_values": infs,
-        "slope": -slope,  # exponent of eps (positive = decay)
-        "target_exponent": spec.tail_exponent - spec.dim,
+        "slope": slope,
+        "target_exponent": target,
+        "passes": abs(slope - target) <= 0.15,
     }
+
+
+def cutoff_plateau_check(sqrt_net: EpsNet, mu: Measure, spec: MollifierSpec) -> bool:
+    """Does cutoff_sqrt's g_eps equal sqrt_net's phi_eps bitwise on the ball r <= 2^j,
+    where chi_j is exactly 1, for every eps?"""
+    r = sqrt_net.items[0].grid.radius()
+    for eps, phi in zip(sqrt_net.eps, sqrt_net.items):
+        g, j = cutoff_sqrt(mu, spec, CutoffFamily(), eps, phi.grid)
+        mask = r <= 2.0**j
+        if not np.array_equal(g.values[mask], phi.values[mask]):
+            return False
+    return True
 
 
 def association_check(

@@ -250,6 +250,20 @@ class SolveResult:
     factorizations: int  # operator and solver (LU or preconditioner) builds
     iterations: int  # Krylov iterations over the march; 0 for direct backends
 
+    @property
+    def l2_drift(self) -> float:
+        """Largest per-step change of ||u||_L2 relative to ||g||_L2; 0 for zero data."""
+        l2 = self.norm_history[:, 1]
+        if len(l2) == 0:
+            raise RegnetsError("the L2 drift needs a solve with record_norms=True")
+        step = float(np.max(np.abs(np.diff(l2))))
+        return step / l2[0] if l2[0] else (np.inf if step else 0.0)
+
+    @property
+    def conserves_l2(self) -> bool:
+        """Discrete unitarity: the per-step relative L2 drift is at most 1e-10."""
+        return self.l2_drift <= 1e-10
+
 
 def _cn_matrices(op: FluxFormOperator, dt: float) -> sp.csc_matrix:
     """S = I - i(dt/2)H as a sparse matrix: the reference the solver is tested against."""

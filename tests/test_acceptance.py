@@ -2,7 +2,9 @@
 
 Each test measures the relevant asymptotic quantity at desk scale, prints a
 single [PASS]/[FAIL] line with the measured numbers (run with -s to see all
-of them), and asserts the stated tolerance plus a generous runtime budget.
+of them), and asserts the package's verdict on it plus a generous runtime
+budget. The bounds live with the functions that decide them; only the
+mollifier derivative slopes are judged here.
 """
 
 import time
@@ -12,7 +14,6 @@ import numpy as np
 from regnets import (
     CauchyProblem,
     CoefficientNet,
-    CutoffFamily,
     Density,
     EpsGrid,
     EpsNet,
@@ -22,10 +23,11 @@ from regnets import (
     SpatialGrid,
     association_check,
     bump,
+    classify_moderate,
     coherence_experiment,
     constant_coefficient,
     cross_validate_cn,
-    cutoff_sqrt,
+    cutoff_plateau_check,
     derivative,
     free_evolve,
     linear_bump,
@@ -96,19 +98,15 @@ def test_interior_lower_bound_exponent():
     spec = MollifierSpec(dim=1, exponent=2.0)
     grid = SpatialGrid(1, 4.0, 65536)
     eg = EpsGrid([2.0 ** (-j) for j in range(2, 10)])  # eps in [2^-9, 2^-2]
-    target = spec.tail_exponent - 1
-    devs = []
-    for mu in (
-        Measure.dirac(0.0),
-        Measure(atoms=[((-0.5,), 0.5), ((0.5,), 0.5)]),
-    ):
-        rep = lower_bound_sweep(mu, spec, eg, grid, K_radius=1.0)
-        devs.append(abs(rep["slope"] - target))
-    worst = max(devs)
+    reps = [
+        lower_bound_sweep(mu, spec, eg, grid, K_radius=1.0)
+        for mu in (Measure.dirac(0.0), Measure(atoms=[((-0.5,), 0.5), ((0.5,), 0.5)]))
+    ]
+    worst = max(abs(rep["slope"] - rep["target_exponent"]) for rep in reps)
     _verdict(
         "interior lower bound exponent",
-        worst <= 0.15,
-        f"max |slope - {target}| = {worst:.3f}",
+        all(rep["passes"] for rep in reps),
+        f"max |slope - {reps[0]['target_exponent']}| = {worst:.3f}",
         time.perf_counter() - t0,
         60,
     )
@@ -161,17 +159,10 @@ def test_cutoff_plateau_bitwise_identity():
     spec = MollifierSpec(dim=1, exponent=2.0)
     grid = SpatialGrid(1, 128.0, 131072)
     mu = Measure.dirac(0.0)
-    chi = CutoffFamily()
-    x = grid.axis_coords()
-    ok = True
-    for eps in DYADIC6:
-        g, j = cutoff_sqrt(mu, spec, chi, eps, grid)
-        phi = sqrt_root(mollify_measure(mu, spec, eps, grid))
-        inside = np.abs(x) <= 2.0**j
-        ok = ok and np.array_equal(g.values[inside], phi.values[inside])
+    sqrt_net = EpsNet(DYADIC6, [sqrt_root(mollify_measure(mu, spec, e, grid)) for e in DYADIC6])
     _verdict(
         "cutoff plateau bitwise identity",
-        ok,
+        cutoff_plateau_check(sqrt_net, mu, spec),
         f"node equality inside |x| <= 2^j for all {len(DYADIC6.values)} eps",
         time.perf_counter() - t0,
         60,
@@ -193,12 +184,10 @@ def test_discrete_unitarity_rough_coefficient():
         T=1.0, time_steps=1000,
     )
     res = solve(problem, eps=0.1)
-    l2 = res.norm_history[:, 1]
-    drift = float(np.max(np.abs(np.diff(l2)))) / l2[0]
     _verdict(
         "discrete unitarity with rough coefficient",
-        drift <= 1e-10,
-        f"max per-step relative L2 drift {drift:.2e} over 1000 steps",
+        res.conserves_l2,
+        f"max per-step relative L2 drift {res.l2_drift:.2e} over 1000 steps",
         time.perf_counter() - t0,
         120,
     )
@@ -219,22 +208,18 @@ def test_solution_net_moderateness_log_type():
         initial=lambda e: scaled_mollifier(spec, e, grid),
         forcing=None, T=0.5, time_steps=100,
     )
-    net = solution_sup_h1_net(problem, DYADIC6)
-    slope, _, rms, _ = loglog_fit(
-        np.asarray(DYADIC6.values), np.asarray([float(v) for v in net.items])
-    )
-    ok = np.isfinite(slope) and rms < 0.1
+    fit = classify_moderate(solution_sup_h1_net(problem, DYADIC6))
     _verdict(
         "solution net moderateness under log-type coefficients",
-        ok,
-        f"sup_t H1 slope {-slope:.2f} in eps, fit rms {rms:.3f}",
+        fit.moderate,
+        f"sup_t H1 slope {-fit.slope:.2f} in eps, fit rms {fit.rms:.3f}",
         time.perf_counter() - t0,
         600,
     )
 
 
 def test_negligible_perturbation_stays_negligible():
-    # eps^6 data perturbation yields solution-difference slope >= 5.5
+    # eps^6 data perturbation yields difference decay >= 6 - N - 0.2 (N = 0 here)
     t0 = time.perf_counter()
     grid = SpatialGrid(1, 4.0, 2048)
     coeffs = CoefficientNet(
@@ -249,7 +234,7 @@ def test_negligible_perturbation_stays_negligible():
     rep = uniqueness_probe(problem, DYADIC6, q=6, perturbation=w)
     _verdict(
         "negligible perturbations stay negligible",
-        rep["decay_exponent"] >= 5.5,
+        rep["passes"],
         f"q=6 difference decay exponent {rep['decay_exponent']:.2f}",
         time.perf_counter() - t0,
         300,
@@ -271,10 +256,9 @@ def test_coherence_with_classical_solution():
         grid, coeffs, g0, None, spec, eg, T=0.1, time_steps=200,
         reference_tol=1e-3,
     )
-    ok = result.slope >= 0.9 and result.final_diff < 1e-3
     _verdict(
         "coherence with the classical solution",
-        ok,
+        result.final_below_tol and result.first_order,
         f"H1 gap slope {result.slope:.2f}, final gap {result.final_diff:.2e}, "
         f"reference certificate gap {result.reference_gap:.2e}",
         time.perf_counter() - t0,
@@ -293,7 +277,7 @@ def test_evolved_density_mass_law():
         u0 = sqrt_delta_data(spec, eps, grid)
         for t in (0.25, 0.5, 0.75, 1.0):
             snap = ProbabilityDensitySnapshot.from_state(free_evolve(u0, t), t, eps)
-            rep = mass_check(snap, tol=1e-8)
+            rep = mass_check(snap)
             ok = ok and rep["passes"]
             worst = max(worst, rep["gap"])
     _verdict(
@@ -362,7 +346,7 @@ def test_scheme_order_against_spectral_oracle():
     )
     _verdict(
         "scheme order against spectral oracle",
-        rep["min_order"] >= 1.8,
+        rep["passes"],
         f"observed orders {[f'{o:.2f}' for o in rep['orders']]}",
         time.perf_counter() - t0,
         180,

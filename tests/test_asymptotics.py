@@ -101,24 +101,30 @@ class TestClassification:
 
     def test_growth_is_moderate(self):
         fit = classify_moderate(self._scalar_net(lambda e: e**-2))
-        assert fit.verdict == "moderate"
-        assert fit.order == 2
+        assert fit.moderate
+        assert fit.slope == pytest.approx(2.0, abs=1e-12)
 
     def test_decay_is_moderate_with_order_zero_bound(self):
         fit = classify_moderate(self._scalar_net(lambda e: 5.0))
-        assert fit.verdict == "moderate"
+        assert fit.moderate
         assert fit.slope == pytest.approx(0.0, abs=1e-12)
 
     def test_exponential_growth_is_not_a_power_law(self):
         fit = classify_moderate(self._scalar_net(lambda e: np.exp(1.0 / e)))
-        assert fit.verdict == "inconclusive"
+        assert not fit.moderate and not fit.moderate_loose
+
+    def test_bent_power_law_is_only_loosely_moderate(self):
+        # 1/(eps + 0.05) grows like 1/eps, then levels off at 20
+        fit = classify_moderate(self._scalar_net(lambda e: 1.0 / (e + 0.05)))
+        assert 0.1 < fit.rms < 0.25
+        assert fit.moderate_loose and not fit.moderate
 
     def test_grid_valued_net_with_seminorm(self):
         eg = EpsGrid.dyadic(2, 9)
         grid = SpatialGrid(1, 1.0, 64)
         items = [GridFunction(grid, np.full(64, 1.0 / e)) for e in eg.values]
         fit = classify_moderate(EpsNet(eg, items))
-        assert fit.verdict == "moderate"
+        assert fit.moderate
         assert fit.slope == pytest.approx(1.0, abs=1e-10)
 
 

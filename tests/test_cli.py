@@ -417,6 +417,23 @@ class TestReport:
         for bad in ("dir", "latin1"):
             assert report(tmp_path / bad) == 2
             assert "error: cannot read manifest" in capsys.readouterr().err
+        # and so can a checks.csv that is a directory, not UTF-8, empty, or has
+        # a row without three fields, next to a valid manifest
+        bad_checks = {
+            "checks_dir": None,
+            "checks_latin1": b"check,passed,detail\ncaf\xe9,1,\n",
+            "checks_empty": b"",
+            "checks_short_row": b"check,passed,detail\nl2_conservation,1\n",
+        }
+        for bad, content in bad_checks.items():
+            (tmp_path / bad).mkdir()
+            io.write_manifest(tmp_path / bad / "manifest.txt", io.base_manifest(experiment="x"))
+            if content is None:
+                (tmp_path / bad / "checks.csv").mkdir()
+            else:
+                (tmp_path / bad / "checks.csv").write_bytes(content)
+            assert report(tmp_path / bad) == 2, bad
+            assert "error:" in capsys.readouterr().err
 
     def test_report_flags_failures(self, tmp_path, capsys):
         out = tmp_path / "res"

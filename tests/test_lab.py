@@ -67,9 +67,10 @@ class TestCoherence:
             grid, _const_net(), g0, None, SPEC, eg, T=0.1, time_steps=100,
             reference_tol=1e-3,
         )
-        assert result.monotone
-        assert result.slope >= 0.9
+        assert result.monotone and result.first_order
         assert result.final_diff < result.h1_sup_diffs[0]
+        # at eps = 0.0442 the difference, 4.3e-3, is still above reference_tol
+        assert not result.final_below_tol and result.final_diff >= 1e-3
         assert result.reference_gap < 1e-4
 
     def test_zero_data_gives_zero_differences(self):
@@ -80,6 +81,8 @@ class TestCoherence:
             grid, _const_net(), g0, None, SPEC, eg, T=0.1, time_steps=50,
         )
         assert max(result.h1_sup_diffs) == pytest.approx(0.0, abs=1e-13)
+        # zero differences are below any tolerance but show no eps-rate
+        assert result.final_below_tol and not result.first_order
 
     def test_underresolved_reference_aborts(self):
         # high-frequency data on a coarse grid cannot self-converge

@@ -19,6 +19,7 @@ from regnets import (
     SpatialGrid,
     association_check,
     bump,
+    cutoff_plateau_check,
     cutoff_sqrt,
     linear_bump,
     lower_bound_check,
@@ -29,6 +30,10 @@ from regnets import (
 )
 
 SPEC_1D = MollifierSpec(dim=1, exponent=3.0)
+
+
+def _sqrt_net(mu, spec, eps_grid, grid):
+    return EpsNet(eps_grid, [sqrt_root(mollify_measure(mu, spec, e, grid)) for e in eps_grid])
 
 
 class TestMeasure:
@@ -270,13 +275,21 @@ class TestCutoff:
 
     def test_plateau_identity_bitwise(self):
         grid = SpatialGrid(1, 16.0, 8192)
-        chi = CutoffFamily()
-        eps = 0.25
-        g, j = cutoff_sqrt(Measure.dirac(), SPEC_1D, chi, eps, grid)
-        phi = sqrt_root(mollify_measure(Measure.dirac(), SPEC_1D, eps, grid))
-        x = grid.axis_coords()
-        inside = np.abs(x) <= 2.0**j
-        assert np.array_equal(g.values[inside], phi.values.real[inside])
+        eg = EpsGrid([0.5, 0.4, 0.3, 0.25, 0.2, 0.15])
+        net = _sqrt_net(Measure.dirac(), SPEC_1D, eg, grid)
+        assert cutoff_plateau_check(net, Measure.dirac(), SPEC_1D)
+        # h_eps = phi_eps^2 is not phi_eps on the plateau
+        squared = EpsNet(eg, [phi.abs2() for phi in net.items])
+        assert not cutoff_plateau_check(squared, Measure.dirac(), SPEC_1D)
+
+    def test_plateau_identity_bitwise_2d(self):
+        # the plateau is the disk r <= 2^j; chi_j is below 1 in the corners
+        # of the square |x|_inf <= 2^j
+        grid = SpatialGrid(2, 4.0, 128)
+        mu = Measure.dirac((0.1, 0.2), dim=2)
+        spec = MollifierSpec(dim=2, exponent=3.0)
+        net = _sqrt_net(mu, spec, EpsGrid([1.0, 0.9, 0.8, 0.7, 0.6, 0.5]), grid)
+        assert cutoff_plateau_check(net, mu, spec)
 
     def test_compact_support(self):
         grid = SpatialGrid(1, 16.0, 8192)
@@ -292,12 +305,6 @@ class TestCutoff:
 
 
 class TestReports:
-    def _sqrt_net(self, mu, spec, eps_grid, grid):
-        return EpsNet(
-            eps_grid,
-            [sqrt_root(mollify_measure(mu, spec, e, grid)) for e in eps_grid],
-        )
-
     def test_lower_bound_check_dirac(self):
         grid = SpatialGrid(1, 4.0, 16384)
         eps = 2.0**-5
@@ -310,13 +317,20 @@ class TestReports:
         grid = SpatialGrid(1, 4.0, 32768)
         eg = EpsGrid.dyadic(2, 9)
         sweep = lower_bound_sweep(Measure.dirac(), SPEC_1D, eg, grid, K_radius=1.0)
-        assert abs(sweep["slope"] - (SPEC_1D.tail_exponent - 1)) < 0.15
+        assert sweep["target_exponent"] == SPEC_1D.tail_exponent - 1
+        assert sweep["passes"]
+        # for eps near 1 the infimum has not reached its eps^(m0-n) regime
+        coarse = lower_bound_sweep(
+            Measure.dirac(), SPEC_1D, EpsGrid([1.0, 0.9, 0.8, 0.7, 0.6, 0.5]),
+            SpatialGrid(1, 4.0, 1024), K_radius=1.0,
+        )
+        assert not coarse["passes"]
 
     def test_association_of_squared_root(self):
         grid = SpatialGrid(1, 8.0, 32768)
         eg = EpsGrid.dyadic(2, 7)
         mu = Measure.dirac()
-        net = self._sqrt_net(mu, SPEC_1D, eg, grid)
+        net = _sqrt_net(mu, SPEC_1D, eg, grid)
         squared = EpsNet(eg, [phi.abs2() for phi in net.items])
         tests = [bump(grid, 0.0, 1.0), oscillatory_bump(grid, 0.0, 1.0, 3.0)]
         rep = association_check(squared, mu, tests, tol=1e-2)
