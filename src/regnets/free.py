@@ -5,6 +5,16 @@ exp(-i t |xi|^2) times the spectrum of u(0). Used for the square-root-of-
 delta evolution experiments (probability density snapshots, dispersive
 bound, vague convergence of the density measures) and as the oracle for
 the Crank-Nicolson scheme's convergence order.
+
+free_evolve takes general data on the full grid. vague_convergence_check
+evolves only sqrt(rho_eps), which is even about x = 0 in every axis by
+construction (it depends on |x|^2 alone); nothing tests for the symmetry.
+The periodic grid maps onto itself under x -> -x (index j <-> M - j), so
+an even state is determined by its values on the reduced nodes
+x = 0, h, ..., L of each axis (indices M/2 ... M - 1 and the periodic node
+-L = L), its DFT is the type-I DCT of those M/2 + 1 values per axis, and
+the evolved state stays even. Sums over the full grid become sums over the
+reduced nodes with per-axis weights 1 at x = 0 and x = L and 2 inside.
 """
 
 from __future__ import annotations
@@ -12,6 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.fft import dctn, idctn
 
 from .asymptotics import EpsGrid, loglog_fit
 from .errors import RegnetsError
@@ -19,9 +30,10 @@ from .grid import (
     GridFunction,
     SpatialGrid,
     TestFunction,
+    _check_same_grid,
+    _require_finite,
     norm_l2,
     norm_linf,
-    pair,
 )
 from .mollifiers import MollifierSpec, _sample_scaled
 from .solver import CauchyProblem, CoefficientNet, constant_coefficient, solve
@@ -36,16 +48,22 @@ def free_evolve(u0: GridFunction, t: float) -> GridFunction:
     return GridFunction(u0.grid, np.fft.ifftn(F))
 
 
+def _sqrt_delta_samples(
+    spec: MollifierSpec, eps: float, grid: SpatialGrid, nodes: np.ndarray
+) -> np.ndarray:
+    if spec.tail_exponent <= 2 * spec.dim:
+        raise RegnetsError(
+            "square-root evolution needs an integrable sqrt(rho): tail exponent > 2n"
+        )
+    return _sample_scaled(spec, eps, grid, 0.5, nodes)
+
+
 def sqrt_delta_data(spec: MollifierSpec, eps: float, grid: SpatialGrid) -> GridFunction:
     """sqrt(rho_eps): the regularized square root of delta as initial data.
 
     Sampled directly as c^(1/2) eps^(-n/2) (1 + |x/eps|^2)^(-m/4).
     """
-    if spec.tail_exponent <= 2 * spec.dim:
-        raise RegnetsError(
-            "square-root evolution needs an integrable sqrt(rho): tail exponent > 2n"
-        )
-    return _sample_scaled(spec, eps, grid, power=0.5)
+    return GridFunction(grid, _sqrt_delta_samples(spec, eps, grid, grid.axis_coords()))
 
 
 @dataclass(frozen=True)
@@ -64,28 +82,43 @@ class ProbabilityDensitySnapshot:
         return cls(t=t, eps=eps, density=dens, mass=mass)
 
 
-def mass_check(snapshot: ProbabilityDensitySnapshot, tol: float = 1e-8) -> dict:
-    """The mass law: passes iff |mass - 1| <= tol."""
-    gap = abs(snapshot.mass - 1.0)
+def _mass_law(mass: float, tol: float = 1e-8) -> dict:
+    gap = abs(mass - 1.0)
     return {"gap": gap, "passes": gap <= tol}
 
 
-def dispersive_bound_check(
-    u_t: GridFunction, spec: MollifierSpec, eps: float, t: float
-) -> dict:
-    """Measured sup norm against ||sqrt(rho_eps)||_L1 / (4 pi |t|)^(n/2)."""
+def mass_check(snapshot: ProbabilityDensitySnapshot, tol: float = 1e-8) -> dict:
+    """The mass law: passes iff |mass - 1| <= tol."""
+    return _mass_law(snapshot.mass, tol)
+
+
+def _dispersive_bound(measured: float, spec: MollifierSpec, eps: float, t: float) -> dict:
     if t == 0.0:
         raise RegnetsError("dispersive bound is vacuous at t = 0")
     n = spec.dim
     sqrt_l1 = eps ** (n / 2.0) * spec.sqrt_l1_norm()
     bound = sqrt_l1 / (4.0 * np.pi * abs(t)) ** (n / 2.0)
-    measured = norm_linf(u_t)
     return {
         "measured_sup": measured,
         "bound": bound,
         "ratio": measured / bound,
         "passes": measured <= bound,
     }
+
+
+def dispersive_bound_check(
+    u_t: GridFunction, spec: MollifierSpec, eps: float, t: float
+) -> dict:
+    """Measured sup norm against ||sqrt(rho_eps)||_L1 / (4 pi |t|)^(n/2)."""
+    return _dispersive_bound(norm_linf(u_t), spec, eps, t)
+
+
+def _fold(values: np.ndarray, plus: np.ndarray, minus: np.ndarray) -> np.ndarray:
+    """Full-grid samples onto the reduced nodes: the average over the
+    reflections x_k -> -x_k, one axis at a time (2 terms in 1-D, 4 in 2-D)."""
+    for axis in range(values.ndim):
+        values = (values.take(plus, axis) + values.take(minus, axis)) / 2.0
+    return values
 
 
 def vague_convergence_check(
@@ -100,24 +133,45 @@ def vague_convergence_check(
     For each psi the slope of |<|u_eps(t)|^2, psi>| vs eps must be at least
     n/2 - 0.1; simultaneously the pairing against the constant 1 (full-box
     sum) equals 1 for every eps: the vague limit is 0 but no mass is lost.
+    Pairings that vanish (a psi odd in some axis pairs to exactly 0 with
+    the even density) are left out of the fit, and a psi with fewer than
+    four nonzero pairings does not pass.
+
+    Works on the reduced grid throughout (see the module docstring):
+    sqrt(rho_eps) is sampled on the nodes x = 0 ... L per axis, evolved by
+    dctn(type=1), the phases exp(-i t xi_k^2) with xi_k = pi k / L for
+    k = 0 ... M/2, and idctn(type=1). Mass and pairings are weighted sums
+    over those nodes against each psi folded once into its reflection
+    average, and the dispersive sup is taken over them.
     """
-    n = grid.dim
-    pairings = [[] for _ in tests]
-    masses, mass_ok = [], True
-    bound_reports = []
+    n, M = grid.dim, grid.points_per_axis
+    k = np.arange(M // 2 + 1)
+    plus, minus = (M // 2 + k) % M, (M // 2 - k) % M
+    nodes = np.abs(grid.axis_coords()[plus])
+    phase = np.exp(-1j * t * grid.wavenumbers()[0][: M // 2 + 1] ** 2)
+    w = np.where((k == 0) | (k == M // 2), 1.0, 2.0)
+    weight = w if n == 1 else np.outer(w, w)
+    # the constant 1 first: its pairing is the mass
+    weighted = [weight]
+    for psi in tests:
+        _check_same_grid(psi.grid, grid)
+        weighted.append(weight * _fold(psi.gridfunc.values, plus, minus))
+    sums, bound_reports = [], []
     for eps in eps_grid:
-        u0 = sqrt_delta_data(spec, eps, grid)
-        u_t = free_evolve(u0, t)
-        snap = ProbabilityDensitySnapshot.from_state(u_t, t, eps)
-        masses.append(snap.mass)
-        mass_ok = mass_check(snap)["passes"] and mass_ok
-        bound_reports.append(dispersive_bound_check(u_t, spec, eps, t))
-        for row, psi in zip(pairings, tests):
-            row.append(abs(pair(snap.density, psi)))
+        u0 = _sqrt_delta_samples(spec, eps, grid, nodes)
+        _require_finite(u0)
+        F = dctn(u0, type=1)
+        for p in np.ix_(*(phase,) * n):
+            F = p * F  # phase first, as in free_evolve
+        dens = np.abs(idctn(F, type=1)) ** 2
+        sums.append([grid.cell_volume * np.sum(row * dens) for row in weighted])
+        bound_reports.append(_dispersive_bound(float(np.sqrt(dens.max())), spec, eps, t))
+    sums = np.array(sums)
+    masses = [float(m) for m in sums[:, 0]]
+    mass_ok = all(_mass_law(m)["passes"] for m in masses)
     eps_arr = np.asarray(eps_grid.values)
     per_test = []
-    for row, psi in zip(pairings, tests):
-        vals = np.asarray(row)
+    for vals, psi in zip(np.abs(sums[:, 1:]).T, tests):
         decay = -loglog_fit(eps_arr, vals)[0]
         per_test.append(
             {

@@ -106,8 +106,7 @@ class GridFunction:
         values = np.array(values, dtype=float if np.isrealobj(values) else complex)
         if values.shape != grid.shape:
             raise GridError(f"values shape {values.shape} != grid shape {grid.shape}")
-        if not np.all(np.isfinite(values)):
-            raise GridError("values contain NaN or Inf")
+        _require_finite(values)
         values.setflags(write=False)
         object.__setattr__(self, "grid", grid)
         object.__setattr__(self, "values", values)
@@ -125,11 +124,11 @@ class GridFunction:
         return cls(grid, np.zeros(grid.shape))
 
     def __add__(self, other):
-        _check_same_grid(self, other)
+        _check_same_grid(self.grid, other.grid)
         return GridFunction(self.grid, self.values + other.values)
 
     def __sub__(self, other):
-        _check_same_grid(self, other)
+        _check_same_grid(self.grid, other.grid)
         return GridFunction(self.grid, self.values - other.values)
 
     def __mul__(self, scalar):
@@ -141,8 +140,13 @@ class GridFunction:
         return GridFunction(self.grid, np.abs(self.values) ** 2)
 
 
-def _check_same_grid(u, v):
-    if u.grid != v.grid:
+def _require_finite(values: np.ndarray):
+    if not np.all(np.isfinite(values)):
+        raise GridError("values contain NaN or Inf")
+
+
+def _check_same_grid(a: SpatialGrid, b: SpatialGrid):
+    if a != b:
         raise GridError("operands live on different grids")
 
 
@@ -328,7 +332,7 @@ def derivative(u: GridFunction, axis: int = 0, order: int = 1) -> GridFunction:
 
 def pair(u: GridFunction, psi: TestFunction) -> complex:
     """Distributional pairing <u, psi> = cell_volume * sum(u * psi), no conjugation."""
-    _check_same_grid(u, psi.gridfunc)
+    _check_same_grid(u.grid, psi.grid)
     return complex(u.grid.cell_volume * np.sum(u.values * psi.gridfunc.values))
 
 

@@ -82,20 +82,22 @@ class MollifierSpec:
         return float(np.sqrt(self.normalization) * np.pi ** (n / 2.0) * gamma(s - n / 2.0) / gamma(s))
 
 
-def _sample_scaled(spec: MollifierSpec, eps: float, grid: SpatialGrid, power: float):
-    """Sample rho_eps**power on the grid; requires eps in (0, 1] and spacing <= eps/8."""
+def _sample_scaled(
+    spec: MollifierSpec, eps: float, grid: SpatialGrid, power: float, nodes: np.ndarray
+) -> np.ndarray:
+    """rho_eps**power on the tensor grid nodes x nodes (per axis, e.g. the
+    grid's axis_coords); requires eps in (0, 1] and grid spacing <= eps/8."""
     if not (0.0 < eps <= 1.0):
         raise RegnetsError(f"eps must lie in (0, 1], got {eps}")
     if grid.dim != spec.dim:
         raise RegnetsError(f"grid dim {grid.dim} != mollifier dim {spec.dim}")
     grid.require_resolves(eps)
-    axes = np.ix_(*(grid.axis_coords(),) * grid.dim)
-    return GridFunction(grid, spec.evaluate_scaled(eps, *axes, power=power))
+    return spec.evaluate_scaled(eps, *np.ix_(*(nodes,) * grid.dim), power=power)
 
 
 def scaled_mollifier(spec: MollifierSpec, eps: float, grid: SpatialGrid) -> GridFunction:
     """Sample rho_eps = eps^(-n) rho(./eps); requires spacing <= eps/8."""
-    return _sample_scaled(spec, eps, grid, power=1.0)
+    return GridFunction(grid, _sample_scaled(spec, eps, grid, 1.0, grid.axis_coords()))
 
 
 def sampled_mass(u: GridFunction) -> float:

@@ -7,18 +7,24 @@ from hypothesis import strategies as st
 
 from regnets import (
     EpsGrid,
+    GridError,
     GridFunction,
     MollifierSpec,
     ProbabilityDensitySnapshot,
     RegnetsError,
+    ResolutionError,
     SpatialGrid,
     bump,
     cross_validate_cn,
     dispersive_bound_check,
     free_evolve,
+    linear_bump,
+    loglog_fit,
     mass_check,
     norm_l2,
     norm_linf,
+    oscillatory_bump,
+    pair,
     scaled_mollifier,
     sqrt_delta_data,
     vague_convergence_check,
@@ -171,10 +177,89 @@ class TestVagueConvergence:
     def test_rejects_t_zero(self):
         spec = MollifierSpec(dim=1, exponent=6.0)
         grid = SpatialGrid(1, 16.0, 2048)
-        with pytest.raises(RegnetsError):
+        with pytest.raises(RegnetsError) as raised:
             vague_convergence_check(
                 spec, EpsGrid.dyadic(1, 6), grid, 0.0, [bump(grid, 0.0, 1.0)]
             )
+        assert raised.type is RegnetsError
+
+    @pytest.mark.parametrize(
+        "dim, half_width, points, exponent, t",
+        [(1, 16.0, 2048, 6.0, 0.5), (1, 3.3, 2048, 6.0, 0.3), (2, 8.0, 512, 8.0, 0.5), (2, 3.3, 256, 8.0, 0.5)],
+    )
+    def test_reduced_grid_matches_full_grid_reference(self, dim, half_width, points, exponent, t):
+        # the reduced-grid evolution against free_evolve on the full grid;
+        # off-centre psi make the fold average unequal values, and on the
+        # non-dyadic half-width 3.3 the full-grid samples are even only up
+        # to roundoff
+        spec = MollifierSpec(dim=dim, exponent=exponent)
+        grid = SpatialGrid(dim, half_width, points)
+        eg = EpsGrid([2.0 ** (-0.75 - 0.25 * j) for j in range(6)])
+        off = [0.3, -0.5, 0.25] if dim == 1 else [(0.3, -0.2), (-0.5, 0.4), (0.25, 0.6)]
+        tests = [bump(grid, off[0], 1.0), oscillatory_bump(grid, off[1], 0.7), linear_bump(grid, off[2], 1.0)]
+        rep = vague_convergence_check(spec, eg, grid, t, tests)
+        masses, sups, ratios, pairings = [], [], [], [[] for _ in tests]
+        for eps in eg:
+            u = free_evolve(sqrt_delta_data(spec, eps, grid), t)
+            snap = ProbabilityDensitySnapshot.from_state(u, t, eps)
+            masses.append(snap.mass)
+            disp = dispersive_bound_check(u, spec, eps, t)
+            sups.append(disp["measured_sup"])
+            ratios.append(disp["ratio"])
+            for row, psi in zip(pairings, tests):
+                row.append(abs(pair(snap.density, psi)))
+        decays = [-loglog_fit(np.asarray(eg.values), np.asarray(row))[0] for row in pairings]
+        close = dict(rtol=1e-12, atol=0.0)
+        np.testing.assert_allclose(rep["masses"], masses, **close)
+        np.testing.assert_allclose([d["measured_sup"] for d in rep["dispersive"]], sups, **close)
+        np.testing.assert_allclose([d["ratio"] for d in rep["dispersive"]], ratios, **close)
+        for p, row in zip(rep["tests"], pairings):
+            np.testing.assert_allclose(p["pairings"], row, **close)
+        np.testing.assert_allclose([p["decay_exponent"] for p in rep["tests"]], decays, **close)
+
+    def test_pairings_zero_by_symmetry_fit_no_exponent(self):
+        # an odd psi pairs to exactly 0 with the even density; the full-grid
+        # sums read 0 to 1.7e-18 here and fitted a passing exponent 2.17
+        spec = MollifierSpec(dim=2, exponent=8.0)
+        grid = SpatialGrid(2, 8.0, 512)
+        eg = EpsGrid([2.0 ** (-0.75 - 0.25 * j) for j in range(6)])
+        rep = vague_convergence_check(spec, eg, grid, 0.5, [linear_bump(grid, (0.0, -0.1), 1.0)])
+        (odd,) = rep["tests"]
+        assert odd["pairings"] == [0.0] * 6
+        assert np.isnan(odd["decay_exponent"])
+        assert odd["passes"] is False
+        assert rep["passes"] is False
+
+    @pytest.mark.parametrize(
+        "case, error",
+        [
+            ("eps_above_one", RegnetsError),
+            ("under_resolved", ResolutionError),
+            ("sqrt_not_integrable", RegnetsError),
+            ("non_finite_samples", GridError),
+            ("psi_on_other_grid", GridError),
+        ],
+    )
+    def test_bad_input_raises_typed_error(self, case, error):
+        spec = MollifierSpec(dim=1, exponent=6.0)
+        grid = SpatialGrid(1, 16.0, 2048)
+        # a plain sequence reaches the sampler's own range check, which
+        # EpsGrid would pre-empt
+        eps, tests = EpsGrid(np.geomspace(0.5, 0.125, 6)), [bump(grid, 0.0, 1.0)]
+        if case == "eps_above_one":
+            eps = (1.5,) + eps.values
+        elif case == "under_resolved":
+            grid = SpatialGrid(1, 16.0, 256)
+            tests = [bump(grid, 0.0, 1.0)]
+        elif case == "sqrt_not_integrable":
+            spec = MollifierSpec(dim=1, exponent=2.0)
+        elif case == "non_finite_samples":
+            spec = MollifierSpec(dim=1, exponent=np.inf)  # its normalization is inf/inf
+        else:
+            tests = [bump(SpatialGrid(1, 16.0, 1024), 0.0, 1.0)]
+        with pytest.raises(error) as raised, np.errstate(invalid="ignore"):
+            vague_convergence_check(spec, eps, grid, 0.5, tests)
+        assert raised.type is error
 
 
 class TestCrossValidation:
