@@ -48,22 +48,12 @@ def free_evolve(u0: GridFunction, t: float) -> GridFunction:
     return GridFunction(u0.grid, np.fft.ifftn(F))
 
 
-def _sqrt_delta_samples(
-    spec: MollifierSpec, eps: float, grid: SpatialGrid, nodes: np.ndarray
-) -> np.ndarray:
-    if spec.tail_exponent <= 2 * spec.dim:
-        raise RegnetsError(
-            "square-root evolution needs an integrable sqrt(rho): tail exponent > 2n"
-        )
-    return _sample_scaled(spec, eps, grid, 0.5, nodes)
-
-
 def sqrt_delta_data(spec: MollifierSpec, eps: float, grid: SpatialGrid) -> GridFunction:
     """sqrt(rho_eps): the regularized square root of delta as initial data.
 
     Sampled directly as c^(1/2) eps^(-n/2) (1 + |x/eps|^2)^(-m/4).
     """
-    return GridFunction(grid, _sqrt_delta_samples(spec, eps, grid, grid.axis_coords()))
+    return GridFunction(grid, _sample_scaled(spec, eps, grid, 0.5, grid.axis_coords()))
 
 
 @dataclass(frozen=True)
@@ -137,12 +127,12 @@ def vague_convergence_check(
     the even density) are left out of the fit, and a psi with fewer than
     four nonzero pairings does not pass.
 
-    Works on the reduced grid throughout (see the module docstring):
-    sqrt(rho_eps) is sampled on the nodes x = 0 ... L per axis, evolved by
-    dctn(type=1), the phases exp(-i t xi_k^2) with xi_k = pi k / L for
-    k = 0 ... M/2, and idctn(type=1). Mass and pairings are weighted sums
-    over those nodes against each psi folded once into its reflection
-    average, and the dispersive sup is taken over them.
+    Works on the reduced grid only (see the module docstring): sqrt(rho_eps)
+    is sampled on x = 0 ... L per axis and evolved by dctn(type=1), the
+    phases exp(-i t xi_k^2) with xi_k = pi k / L, k = 0 ... M/2, and
+    idctn(type=1). Mass and pairings are weighted sums over those nodes,
+    each psi folded once into its reflection average; the dispersive sup
+    is their max.
     """
     n, M = grid.dim, grid.points_per_axis
     k = np.arange(M // 2 + 1)
@@ -158,7 +148,7 @@ def vague_convergence_check(
         weighted.append(weight * _fold(psi.gridfunc.values, plus, minus))
     sums, bound_reports = [], []
     for eps in eps_grid:
-        u0 = _sqrt_delta_samples(spec, eps, grid, nodes)
+        u0 = _sample_scaled(spec, eps, grid, 0.5, nodes)
         _require_finite(u0)
         F = dctn(u0, type=1)
         for p in np.ix_(*(phase,) * n):

@@ -86,7 +86,12 @@ def _sample_scaled(
     spec: MollifierSpec, eps: float, grid: SpatialGrid, power: float, nodes: np.ndarray
 ) -> np.ndarray:
     """rho_eps**power on the tensor grid nodes x nodes (per axis, e.g. the
-    grid's axis_coords); requires eps in (0, 1] and grid spacing <= eps/8."""
+    grid's axis_coords); requires rho**power integrable (tail exponent
+    > n / power), eps in (0, 1] and grid spacing <= eps/8."""
+    if spec.tail_exponent * power <= spec.dim:
+        raise RegnetsError(
+            f"sampling needs an integrable rho**{power:g}: tail exponent > {spec.dim / power:g}"
+        )
     if not (0.0 < eps <= 1.0):
         raise RegnetsError(f"eps must lie in (0, 1], got {eps}")
     if grid.dim != spec.dim:
