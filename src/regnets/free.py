@@ -72,12 +72,15 @@ class ProbabilityDensitySnapshot:
         return cls(t=t, eps=eps, density=dens, mass=mass)
 
 
-def _mass_law(mass: float, tol: float = 1e-8) -> dict:
+_MASS_TOL = 1e-8
+
+
+def _mass_law(mass: float, tol: float = _MASS_TOL) -> dict:
     gap = abs(mass - 1.0)
     return {"gap": gap, "passes": gap <= tol}
 
 
-def mass_check(snapshot: ProbabilityDensitySnapshot, tol: float = 1e-8) -> dict:
+def mass_check(snapshot: ProbabilityDensitySnapshot, tol: float = _MASS_TOL) -> dict:
     """The mass law: passes iff |mass - 1| <= tol."""
     return _mass_law(snapshot.mass, tol)
 

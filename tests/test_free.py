@@ -243,10 +243,10 @@ class TestVagueConvergence:
     def test_bad_input_raises_typed_error(self, case, error):
         spec = MollifierSpec(dim=1, exponent=6.0)
         grid = SpatialGrid(1, 16.0, 2048)
-        # a plain sequence reaches the sampler's own range check, which
-        # EpsGrid would pre-empt
         eps, tests = EpsGrid(np.geomspace(0.5, 0.125, 6)), [bump(grid, 0.0, 1.0)]
         if case == "eps_above_one":
+            # a plain sequence reaches the sampler's own range check, which
+            # EpsGrid would pre-empt
             eps = (1.5,) + eps.values
         elif case == "under_resolved":
             grid = SpatialGrid(1, 16.0, 256)
