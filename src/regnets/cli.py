@@ -214,11 +214,14 @@ def parse_config(path) -> dict:
 # checks: list of (name, passed, detail); tables: {filename: (header, rows)}
 
 
-def _grid_and_spec(config):
-    """The experiment's grid and mollifier; an exponent m <= n is a config error."""
+def _grid_and_spec(config, power=1.0):
+    """The experiment's grid and mollifier; an m that is not finite or has m power <= n
+    (rho**power not integrable) is a config error."""
     grid = SpatialGrid(config["dim"], config["half_width"], config["points_per_axis"])
     try:
-        return grid, MollifierSpec(dim=grid.dim, exponent=config["mollifier_exponent"])
+        spec = MollifierSpec(dim=grid.dim, exponent=config["mollifier_exponent"])
+        spec.require_integrable(power)
+        return grid, spec
     except RegnetsError as exc:
         raise ConfigError(f"mollifier_exponent: {exc}") from exc
 
@@ -251,22 +254,20 @@ def _run_selftest(config, workers):
 
 def _run_sqrt_measure(config, workers):
     grid, spec = _grid_and_spec(config)
-    dim, eps_grid = grid.dim, config["eps_grid"]
+    eps_grid = config["eps_grid"]
     atoms, kind, p = config["atoms"], config["density"], config["density_params"]
     if kind == "none":
         if not atoms:
             raise ConfigError("sqrt_measure needs atoms and/or a density")
-        if p or config["density_weight"]:
-            raise ConfigError("density_params and density_weight need a density")
+        if p:
+            raise ConfigError("density_params needs a density")
     elif len(p) > 1:
         raise ConfigError(f"density_params takes one value for a {kind} density, got {len(p)}")
-    density = None
-    weight = 0.0
     try:
+        density = None
         if kind != "none":
             density = Density(kind=kind, params={_DENSITY_PARAMETER[kind]: p[0]} if p else {})
-            weight = config["density_weight"]
-        measure = Measure(atoms=atoms, density=density, density_weight=weight, dim=dim)
+        measure = Measure(atoms, density, config["density_weight"], grid.dim)
     except RegnetsError as exc:
         raise ConfigError(f"atoms/density: {exc}") from exc
 
@@ -355,10 +356,8 @@ def _run_schrodinger_sweep(config, workers):
 
 
 def _run_free_example(config, workers):
-    grid, spec = _grid_and_spec(config)
+    grid, spec = _grid_and_spec(config, power=0.5)
     dim, eps_grid, times = grid.dim, config["eps_grid"], list(config["times"])
-    if spec.tail_exponent <= 2 * dim:
-        raise ConfigError(f"mollifier_exponent {spec.m} <= 2n: sqrt(rho) is not integrable")
     if 0.0 in times:
         raise ConfigError("times must be nonzero: the dispersive bound is infinite at t = 0")
     off = 1.0 if dim == 1 else (1.0, 0.5)

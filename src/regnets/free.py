@@ -31,7 +31,6 @@ from .grid import (
     SpatialGrid,
     TestFunction,
     _check_same_grid,
-    _require_finite,
     norm_l2,
     norm_linf,
 )
@@ -53,7 +52,7 @@ def sqrt_delta_data(spec: MollifierSpec, eps: float, grid: SpatialGrid) -> GridF
 
     Sampled directly as c^(1/2) eps^(-n/2) (1 + |x/eps|^2)^(-m/4).
     """
-    return GridFunction(grid, _sample_scaled(spec, eps, grid, 0.5, grid.axis_coords()))
+    return GridFunction(grid, _sample_scaled(spec, eps, grid, 0.5, (grid.axis_coords(),) * grid.dim))
 
 
 @dataclass(frozen=True)
@@ -151,9 +150,7 @@ def vague_convergence_check(
         weighted.append(weight * _fold(psi.gridfunc.values, plus, minus))
     sums, bound_reports = [], []
     for eps in eps_grid:
-        u0 = _sample_scaled(spec, eps, grid, 0.5, nodes)
-        _require_finite(u0)
-        F = dctn(u0, type=1)
+        F = dctn(_sample_scaled(spec, eps, grid, 0.5, (nodes,) * n), type=1)
         for p in np.ix_(*(phase,) * n):
             F = p * F  # phase first, as in free_evolve
         dens = np.abs(idctn(F, type=1)) ** 2

@@ -18,7 +18,7 @@ from scipy import integrate
 from .asymptotics import EpsGrid, EpsNet, loglog_fit
 from .errors import BoxTooSmallError, PositivityError, RegnetsError
 from .grid import GridFunction, SpatialGrid, TestFunction, _point, _support_box, pair, periodic_convolve
-from .mollifiers import MollifierSpec
+from .mollifiers import MollifierSpec, _sample_scaled
 
 _DENSITY_PARAMETER = {"uniform": "half_width", "gaussian": "sigma"}
 
@@ -99,7 +99,7 @@ class Density:
 
 @dataclass(frozen=True)
 class Measure:
-    """Finite Borel probability measure: atoms plus an optional density."""
+    """Finite Borel probability measure: atoms plus an optional density; NaN weights fail."""
 
     atoms: tuple = ()
     density: Density | None = None
@@ -112,14 +112,16 @@ class Measure:
             loc = tuple(float(v) for v in np.atleast_1d(loc))
             if len(loc) != dim:
                 raise RegnetsError(f"atom location {loc} has wrong dimension")
-            if w <= 0:
+            if not w > 0:
                 raise RegnetsError("atom weights must be positive")
             norm_atoms.append((loc, float(w)))
+        if not density_weight >= 0:
+            raise RegnetsError(f"density_weight must be >= 0, got {density_weight}")
+        if density_weight and density is None:
+            raise RegnetsError(f"density_weight {density_weight} needs a density")
         total = sum(w for _, w in norm_atoms) + density_weight
-        if abs(total - 1.0) > 1e-12:
+        if not abs(total - 1.0) <= 1e-12:
             raise RegnetsError(f"total mass {total} != 1")
-        if density_weight > 0 and density is None:
-            raise RegnetsError("density_weight > 0 requires a density")
         object.__setattr__(self, "atoms", tuple(norm_atoms))
         object.__setattr__(self, "density", density)
         object.__setattr__(self, "density_weight", float(density_weight))
@@ -132,14 +134,14 @@ class Measure:
 
     def support_radius(self) -> float:
         r = max((np.linalg.norm(loc) for loc, _ in self.atoms), default=0.0)
-        if self.density is not None and self.density_weight > 0:
+        if self.density_weight > 0:
             r = max(r, self.density.support_radius())
         return float(r)
 
     def ball_mass(self, r: float) -> float:
         """mu of the closed centered ball of radius r."""
         m = sum(w for loc, w in self.atoms if np.linalg.norm(loc) <= r + 1e-15)
-        if self.density is not None and self.density_weight > 0:
+        if self.density_weight > 0:
             m += self.density_weight * self.density.ball_mass(self.dim, r)
         return m
 
@@ -159,7 +161,7 @@ class Measure:
     def integrate(self, psi: TestFunction) -> float:
         """mu(psi) = sum of atom weights * psi(atom) + density quadrature."""
         val = sum(w * float(psi(*loc)) for loc, w in self.atoms)
-        if self.density is not None and self.density_weight > 0:
+        if self.density_weight > 0:
             val += self.density_weight * self.density.integrate_against(psi)
         return val
 
@@ -174,15 +176,13 @@ def mollify_measure(
     """h_eps = mu * rho_eps: closed-form sums for atoms, FFT for the density."""
     if mu.dim != grid.dim:
         raise RegnetsError("measure and grid dimension mismatch")
-    grid.require_resolves(eps)
     x = grid.axis_coords()
     h = np.zeros(grid.shape)
     for loc, w in mu.atoms:
-        h += w * spec.evaluate_scaled(eps, *np.ix_(*(x - li for li in loc)))
-    if mu.density is not None and mu.density_weight > 0:
-        coords = grid.meshgrid()
-        dens = mu.density.evaluate(*coords)
-        rho = spec.evaluate_scaled(eps, *coords)
+        h += w * _sample_scaled(spec, eps, grid, 1.0, [x - li for li in loc])
+    if mu.density_weight > 0:
+        dens = mu.density.evaluate(*grid.meshgrid())
+        rho = _sample_scaled(spec, eps, grid, 1.0, (x,) * grid.dim)
         h += mu.density_weight * periodic_convolve(dens, rho, grid)
     if h.min() <= 0.0:
         raise PositivityError(

@@ -3,9 +3,13 @@
 The profile is rho(x) = c (1 + |x|^2)^(-m/2) with m > n, normalized so
 that the integral over R^n is one. This profile is positive everywhere,
 smooth with bounded derivatives, and its tail decays like |x|^(-m), so it
-has tail exponent m0 = m. The case m = n + 1 is the canonical choice; for
-square-root evolution experiments one needs m > 2n so that sqrt(rho) is
-integrable.
+has tail exponent m0 = m. The case m = n + 1 is the canonical choice.
+
+_sample_scaled is the package's only sampler of rho_eps**p on grid nodes,
+and it owns every rule a sample must meet: rho**p integrable (m p > n, in
+MollifierSpec.require_integrable; sqrt(rho) needs m > 2n), eps in (0, 1],
+spec dim = grid dim, spacing <= eps/8 (grid.require_resolves) and finite
+values (GridError).
 """
 
 from __future__ import annotations
@@ -16,7 +20,7 @@ import numpy as np
 from scipy.special import gamma
 
 from .errors import RegnetsError
-from .grid import GridFunction, SpatialGrid
+from .grid import GridFunction, SpatialGrid, _require_finite
 
 
 def cauchy_power_normalization(n: int, m: float) -> float:
@@ -30,16 +34,17 @@ def cauchy_power_normalization(n: int, m: float) -> float:
 class MollifierSpec:
     """The profile rho = c (1 + |x|^2)^(-m/2) on R^dim, with tail exponent m0 = m.
 
-    exponent is m; 0 means the default m = n + 1. m > n is checked here, so
-    a spec that exists can be sampled.
+    exponent is m; 0 means the default m = n + 1. A finite m > n is checked
+    here, so a spec that exists can be sampled.
     """
 
     dim: int
     exponent: float = 0.0
 
     def __post_init__(self):
-        if self.m <= self.dim:
-            raise RegnetsError(f"exponent m={self.m} must exceed dimension n={self.dim}")
+        if not np.isfinite(self.exponent):
+            raise RegnetsError(f"exponent must be finite, got {self.exponent}")
+        self.require_integrable(1.0)
 
     @property
     def m(self) -> float:
@@ -50,59 +55,56 @@ class MollifierSpec:
         """m0 such that rho(x) >= C |x|^(-m0) for |x| >= 1 with some C > 0."""
         return self.m
 
+    def require_integrable(self, power: float):
+        """Raise RegnetsError unless rho**power is integrable on R^n: m power > n."""
+        if self.tail_exponent * power <= self.dim:
+            p = "" if power == 1.0 else f" / {power:g} for an integrable rho**{power:g}"
+            raise RegnetsError(f"exponent m={self.m} must exceed dimension n={self.dim}{p}")
+
     @property
     def normalization(self) -> float:
         return cauchy_power_normalization(self.dim, self.m)
 
-    # -- profile evaluation ------------------------------------------------
-
-    def of_r2(self, r2, power: float = 1.0):
-        """rho**power as a function of |x|^2: c^p (1 + |x|^2)^(-m p / 2)."""
-        return self.normalization**power * (1.0 + r2) ** (-self.m * power / 2.0)
-
     def evaluate_scaled(self, eps: float, *coords, power: float = 1.0):
-        """rho_eps(x)**power with rho_eps(x) = eps^(-n) rho(x / eps).
+        """rho_eps(x)**power = c^p (1 + |x/eps|^2)^(-m p / 2) / eps^(n p).
 
         coords may be open axes (np.ix_); they broadcast to the full grid
         only in |x/eps|^2.
         """
         r2 = sum((np.asarray(c, dtype=float) / eps) ** 2 for c in coords)
-        return self.of_r2(r2, power) / eps ** (self.dim * power)
+        c_p = self.normalization**power
+        return c_p * (1.0 + r2) ** (-self.m * power / 2.0) / eps ** (self.dim * power)
 
     def sqrt_l1_norm(self) -> float:
         """Integral of sqrt(rho) over R^n (finite iff the tail has m0 > 2n).
 
         Closed form c^(1/2) pi^(n/2) Gamma(m/4 - n/2) / Gamma(m/4).
         """
-        if self.tail_exponent <= 2 * self.dim:
-            raise RegnetsError(
-                f"sqrt(rho) not integrable: tail exponent {self.tail_exponent} <= 2n"
-            )
+        self.require_integrable(0.5)
         n, s = self.dim, self.m / 4.0
         return float(np.sqrt(self.normalization) * np.pi ** (n / 2.0) * gamma(s - n / 2.0) / gamma(s))
 
 
 def _sample_scaled(
-    spec: MollifierSpec, eps: float, grid: SpatialGrid, power: float, nodes: np.ndarray
+    spec: MollifierSpec, eps: float, grid: SpatialGrid, power: float, axes
 ) -> np.ndarray:
-    """rho_eps**power on the tensor grid nodes x nodes (per axis, e.g. the
-    grid's axis_coords); requires rho**power integrable (tail exponent
-    > n / power), eps in (0, 1] and grid spacing <= eps/8."""
-    if spec.tail_exponent * power <= spec.dim:
-        raise RegnetsError(
-            f"sampling needs an integrable rho**{power:g}: tail exponent > {spec.dim / power:g}"
-        )
+    """rho_eps**power on the tensor product of axes, one node array per grid
+    axis (the grid's axis_coords, or an atom's shifted nodes x - l_k); the
+    rules it checks are listed in the module docstring."""
+    spec.require_integrable(power)
     if not (0.0 < eps <= 1.0):
         raise RegnetsError(f"eps must lie in (0, 1], got {eps}")
     if grid.dim != spec.dim:
         raise RegnetsError(f"grid dim {grid.dim} != mollifier dim {spec.dim}")
     grid.require_resolves(eps)
-    return spec.evaluate_scaled(eps, *np.ix_(*(nodes,) * grid.dim), power=power)
+    values = spec.evaluate_scaled(eps, *np.ix_(*axes), power=power)
+    _require_finite(values)
+    return values
 
 
 def scaled_mollifier(spec: MollifierSpec, eps: float, grid: SpatialGrid) -> GridFunction:
     """Sample rho_eps = eps^(-n) rho(./eps); requires spacing <= eps/8."""
-    return GridFunction(grid, _sample_scaled(spec, eps, grid, 1.0, grid.axis_coords()))
+    return GridFunction(grid, _sample_scaled(spec, eps, grid, 1.0, (grid.axis_coords(),) * grid.dim))
 
 
 def sampled_mass(u: GridFunction) -> float:

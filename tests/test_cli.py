@@ -316,11 +316,17 @@ class TestRun:
             (SWEEP + "mollifier_exponent = 0.5\n",
              "mollifier_exponent: exponent m=0.5 must exceed dimension n=1"),
             (PASSING["free_example"].replace("mollifier_exponent = 6", "mollifier_exponent = 1.5"),
-             "mollifier_exponent 1.5 <= 2n: sqrt(rho) is not integrable"),
+             "mollifier_exponent: exponent m=1.5 must exceed dimension n=1 / 0.5"
+             " for an integrable rho**0.5"),
             (PASSING["free_example"].replace("times = 0.5", "times = 0.0"),
              "times must be nonzero"),
+            (PASSING["free_example"].replace("mollifier_exponent = 6", "mollifier_exponent = nan"),
+             "mollifier_exponent: exponent must be finite, got nan"),
+            (PASSING["free_example"].replace("mollifier_exponent = 6", "mollifier_exponent = inf"),
+             "mollifier_exponent: exponent must be finite, got inf"),
         ],
-        ids=["exponent_below_dim", "free_example_sqrt_not_integrable", "free_example_zero_time"],
+        ids=["exponent_below_dim", "free_example_sqrt_not_integrable", "free_example_zero_time",
+             "free_example_nan_exponent", "free_example_inf_exponent"],
     )
     def test_unusable_mollifier_or_times_exits_2(self, tmp_path, capsys, text, message):
         out = tmp_path / "res"
@@ -355,10 +361,14 @@ class TestRun:
             ("density = gaussian\ndensity_weight = 1\ndensity_params = 0.5, 7.0\n",
              "density_params takes one value for a gaussian density, got 2"),
             ("atoms = 0:1\ndensity = none\ndensity_weight = 0.5\ndensity_params = -3\n",
-             "density_params and density_weight need a density"),
+             "density_params needs a density"),
+            ("atoms = 0:1.2\ndensity = gaussian\ndensity_weight = -0.2\n",
+             "density_weight must be >= 0, got -0.2"),
+            ("atoms = 0:0.5\ndensity_weight = 0.5\n", "density_weight 0.5 needs a density"),
         ],
         ids=["total_mass", "zero_weight", "negative_sigma", "zero_half_width",
-             "two_density_params", "density_keys_without_density"],
+             "two_density_params", "density_keys_without_density", "negative_density_weight",
+             "density_weight_without_density"],
     )
     def test_measure_that_is_not_a_probability_exits_2(self, tmp_path, capsys, measure, message):
         path = _write(tmp_path, SQRT_MEASURE.replace("atoms = 0:1\n", measure))

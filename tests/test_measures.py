@@ -28,6 +28,7 @@ from regnets import (
     oscillatory_bump,
     sqrt_root,
 )
+from regnets.grid import periodic_convolve
 
 SPEC_1D = MollifierSpec(dim=1, exponent=3.0)
 
@@ -53,6 +54,23 @@ class TestMeasure:
             Measure.dirac((0.0, 0.0, 0.0), dim=2)
         with pytest.raises(GridError, match="got 2"):
             Measure.dirac((0.0, 0.5), dim=1)
+
+    @pytest.mark.parametrize(
+        "atoms, density, weight, message",
+        [
+            ([((0.0,), 1.5)], None, -0.5, "density_weight must be >= 0, got -0.5"),
+            ([((0.0,), 0.5)], None, 0.5, "density_weight 0.5 needs a density"),
+            ([((0.0,), 1.0)], Density(kind="gaussian"), float("nan"), "got nan"),
+            ([((0.0,), float("nan"))], None, 0.0, "atom weights must be positive"),
+        ],
+        ids=["negative_density_weight", "weight_without_density", "nan_density_weight",
+             "nan_atom_weight"],
+    )
+    def test_weight_rules(self, atoms, density, weight, message):
+        # the negative and NaN weights were accepted (mass 1 or NaN), the
+        # first with an h of mass 1.5
+        with pytest.raises(RegnetsError, match=message):
+            Measure(atoms=atoms, density=density, density_weight=weight, dim=1)
 
     def test_atom_dimension_checked(self):
         with pytest.raises(RegnetsError):
@@ -225,6 +243,47 @@ class TestMollifyMeasure:
         grid = SpatialGrid(2, 4.0, 64)
         with pytest.raises(RegnetsError):
             mollify_measure(Measure.dirac(), SPEC_1D, 0.25, grid)
+
+    @pytest.mark.parametrize(
+        "mu, spec",
+        [
+            (Measure(atoms=((-0.75, 0.25), (0.5, 0.75)), dim=1), SPEC_1D),
+            (Measure(atoms=((0.3, 0.4),), density=Density(kind="gaussian", params={"sigma": 0.5}),
+                     density_weight=0.6, dim=1), MollifierSpec(dim=1, exponent=4.0)),
+            (Measure(atoms=((0.0, 0.5),), density=Density(kind="uniform"), density_weight=0.5,
+                     dim=1), MollifierSpec(dim=1)),
+            (Measure(atoms=(((0.25, -0.5), 0.7),), density=Density(kind="gaussian"),
+                     density_weight=0.3, dim=2), MollifierSpec(dim=2, exponent=5.0)),
+        ],
+        ids=["1d_atoms", "1d_atom_gaussian", "1d_atom_uniform_default_m", "2d_atom_gaussian"],
+    )
+    def test_bitwise_equal_to_direct_evaluation(self, mu, spec):
+        # the reference evaluates the profile itself, as mollify_measure did
+        # before it sampled through the checked mollifier sampler
+        grid = SpatialGrid(mu.dim, 4.0, 512)
+        x, coords = grid.axis_coords(), grid.meshgrid()
+        for eps in (0.5, 0.25, 0.125):
+            ref = np.zeros(grid.shape)
+            for loc, w in mu.atoms:
+                ref += w * spec.evaluate_scaled(eps, *np.ix_(*(x - li for li in loc)))
+            if mu.density is not None:
+                dens, rho = mu.density.evaluate(*coords), spec.evaluate_scaled(eps, *coords)
+                ref += mu.density_weight * periodic_convolve(dens, rho, grid)
+            h = mollify_measure(mu, spec, eps, grid)
+            assert np.array_equal(h.values, ref), eps
+
+    @pytest.mark.parametrize("with_density", [False, True])
+    def test_mollifier_checks_reach_atoms_and_density(self, with_density):
+        # both used to return values: a 2-D profile on a 1-D grid (h of
+        # mass 2), and eps = 2
+        grid = SpatialGrid(1, 8.0, 1024)
+        mu = Measure.dirac(0.0)
+        if with_density:
+            mu = Measure(density=Density(kind="gaussian"), density_weight=1.0, dim=1)
+        with pytest.raises(RegnetsError, match="grid dim 1 != mollifier dim 2"):
+            mollify_measure(mu, MollifierSpec(dim=2, exponent=4.0), 0.25, grid)
+        with pytest.raises(RegnetsError, match=r"eps must lie in \(0, 1\], got 2.0"):
+            mollify_measure(mu, SPEC_1D, 2.0, grid)
 
 
 class TestSqrtRoot:

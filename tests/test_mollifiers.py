@@ -108,13 +108,21 @@ class TestMollifierSpec:
     def test_exponent_must_exceed_dimension_at_construction(self, dim, exponent):
         with pytest.raises(RegnetsError, match=f"exponent m={exponent} must exceed dimension n={dim}"):
             MollifierSpec(dim=dim, exponent=exponent)
+        # m = inf gave a NaN normalization; NaN fails every comparison
+        for bad in (np.inf, -np.inf, np.nan):
+            with pytest.raises(RegnetsError, match=f"exponent must be finite, got {bad}"):
+                MollifierSpec(dim=dim, exponent=bad)
 
 
 class TestSqrtAndTails:
     def test_sqrt_l1_requires_heavy_exponent(self):
         # sqrt(rho) integrable iff m > 2n
-        with pytest.raises(RegnetsError):
+        rule = r"m=2.0 must exceed dimension n=1 / 0.5 for an integrable rho\*\*0.5"
+        with pytest.raises(RegnetsError, match=rule):
             MollifierSpec(dim=1, exponent=2.0).sqrt_l1_norm()
+        MollifierSpec(dim=1, exponent=2.0).require_integrable(1.0)
+        with pytest.raises(RegnetsError, match=r"m=5.0 must exceed dimension n=2 / 0.25"):
+            MollifierSpec(dim=2, exponent=5.0).require_integrable(0.25)
 
     def test_sqrt_l1_norm_1d_oracle(self):
         spec = MollifierSpec(dim=1, exponent=6.0)
