@@ -11,6 +11,7 @@ from .asymptotics import (
 )
 from .errors import (
     RegnetsError,
+    InputError,
     GridError,
     ResolutionError,
     UnsupportedOrderError,

@@ -15,11 +15,17 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import RegnetsError
+from .errors import InputError
 from .grid import GridFunction, norm_linf
 
 RESIDUAL_THRESHOLD = 0.1  # log-units rms accepted as a clean power law
 LOOSE_RESIDUAL_THRESHOLD = 0.25  # ... accepted as a power law bending to a plateau
+
+
+def _require_eps(eps: float):
+    """Raise InputError unless eps lies in (0, 1]: the package's one copy of the rule."""
+    if not (0.0 < eps <= 1.0):
+        raise InputError(f"eps must lie in (0, 1], got {eps}")
 
 
 @dataclass(frozen=True)
@@ -31,11 +37,11 @@ class EpsGrid:
     def __init__(self, values: Sequence[float]):
         values = tuple(float(v) for v in values)
         if len(values) < 6:
-            raise RegnetsError(f"eps grid needs >= 6 points, got {len(values)}")
-        if any(not (0.0 < v <= 1.0) for v in values):
-            raise RegnetsError("eps values must lie in (0, 1]")
+            raise InputError(f"eps grid needs >= 6 points, got {len(values)}")
+        for v in values:
+            _require_eps(v)
         if any(a <= b for a, b in zip(values, values[1:])):
-            raise RegnetsError("eps values must be strictly decreasing")
+            raise InputError("eps values must be strictly decreasing")
         object.__setattr__(self, "values", values)
 
     def __len__(self):
@@ -63,10 +69,10 @@ class EpsNet:
     def __init__(self, eps: EpsGrid, items: Sequence):
         items = tuple(items)
         if len(items) != len(eps):
-            raise RegnetsError("items length must match eps grid length")
+            raise InputError("items length must match eps grid length")
         grids = {it.grid for it in items if isinstance(it, GridFunction)}
         if len(grids) > 1:
-            raise RegnetsError("grid-valued items must share one SpatialGrid")
+            raise InputError("grid-valued items must share one SpatialGrid")
         object.__setattr__(self, "eps", eps)
         object.__setattr__(self, "items", items)
 
@@ -127,9 +133,9 @@ def check_log_type(eps: EpsGrid, sup_norms: Sequence[float]):
     """
     s = np.asarray([float(v) for v in sup_norms])
     if len(s) != len(eps):
-        raise RegnetsError("sup_norms length must match eps grid")
+        raise InputError("sup_norms length must match eps grid")
     if np.any(s < 0):
-        raise RegnetsError("sup norms must be nonnegative")
+        raise InputError("sup norms must be nonnegative")
     x = np.log(1.0 / np.asarray(eps.values))
     if np.all(s == 0.0):
         return {"passes": True, "rel_residual": 0.0}

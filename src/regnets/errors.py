@@ -5,11 +5,17 @@ class RegnetsError(Exception):
     """Base class for all package errors."""
 
 
+class InputError(RegnetsError):
+    """Input the caller can fix: a value outside its documented range, data
+    that break a documented rule, or a scale the grid or box cannot hold.
+    The CLI exits 2 on it and 1 on any other RegnetsError."""
+
+
 class GridError(RegnetsError):
     """Invalid grid parameters or grid mismatch between operands."""
 
 
-class ResolutionError(RegnetsError):
+class ResolutionError(InputError):
     """Grid spacing too coarse to resolve the requested scale."""
 
     def __init__(self, message, required_points=None):
@@ -25,7 +31,7 @@ class PositivityError(RegnetsError):
     """A quantity that must be strictly positive is not."""
 
 
-class BoxTooSmallError(RegnetsError):
+class BoxTooSmallError(InputError):
     """Domain box does not contain a required support set."""
 
     def __init__(self, message, required_half_width=None):
@@ -41,7 +47,7 @@ class ReferenceError_(RegnetsError):
     """Fine reference solution failed its self-convergence check."""
 
 
-class ConfigError(RegnetsError):
+class ConfigError(InputError):
     """Experiment configuration failed schema validation."""
 
     def __init__(self, message, line=None):

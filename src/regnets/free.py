@@ -25,7 +25,7 @@ import numpy as np
 from scipy.fft import dctn, idctn
 
 from .asymptotics import EpsGrid, loglog_fit
-from .errors import RegnetsError
+from .errors import InputError
 from .grid import (
     GridFunction,
     SpatialGrid,
@@ -86,7 +86,7 @@ def mass_check(snapshot: ProbabilityDensitySnapshot, tol: float = _MASS_TOL) -> 
 
 def _dispersive_bound(measured: float, spec: MollifierSpec, eps: float, t: float) -> dict:
     if t == 0.0:
-        raise RegnetsError("dispersive bound is vacuous at t = 0")
+        raise InputError("dispersive bound is vacuous at t = 0")
     n = spec.dim
     sqrt_l1 = eps ** (n / 2.0) * spec.sqrt_l1_norm()
     bound = sqrt_l1 / (4.0 * np.pi * abs(t)) ** (n / 2.0)

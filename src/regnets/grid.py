@@ -16,7 +16,7 @@ from itertools import product
 
 import numpy as np
 
-from .errors import GridError, ResolutionError, UnsupportedOrderError
+from .errors import BoxTooSmallError, GridError, ResolutionError, UnsupportedOrderError
 
 MAX_SOBOLEV_ORDER = 4
 
@@ -225,10 +225,12 @@ def _catalog_entry(
     grid: SpatialGrid, name: str, center, width: float, factor=None
 ) -> TestFunction:
     """Sample a catalog test function: a bump of radius width at center (see
-    _point), times factor(x_1 - c_1) when factor is given."""
+    _point), times factor(x_1 - c_1) when factor is given. The box must
+    exceed max|center| + width, else BoxTooSmallError."""
     center = _point(center, grid.dim)
-    if np.max(np.abs(center)) + width >= grid.half_width:
-        raise GridError("bump support reaches the box boundary")
+    reach = float(np.max(np.abs(center))) + width
+    if reach >= grid.half_width:
+        raise BoxTooSmallError("bump support reaches the box boundary", required_half_width=reach)
     base = _bump_profile(center, width)
     if factor is None:
         profile = base

@@ -15,8 +15,8 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy import integrate
 
-from .asymptotics import EpsGrid, EpsNet, loglog_fit
-from .errors import BoxTooSmallError, PositivityError, RegnetsError
+from .asymptotics import EpsGrid, EpsNet, _require_eps, loglog_fit
+from .errors import BoxTooSmallError, InputError, PositivityError
 from .grid import GridFunction, SpatialGrid, TestFunction, _point, _support_box, pair, periodic_convolve
 from .mollifiers import MollifierSpec, _sample_scaled
 
@@ -40,12 +40,12 @@ class Density:
     def __post_init__(self):
         allowed = _DENSITY_PARAMETER.get(self.kind)
         if allowed is None:
-            raise RegnetsError(f"unknown density kind {self.kind!r}")
+            raise InputError(f"unknown density kind {self.kind!r}")
         for key, value in self.params.items():
             if key != allowed:
-                raise RegnetsError(f"{self.kind} density takes only {allowed!r}, got {key!r}")
+                raise InputError(f"{self.kind} density takes only {allowed!r}, got {key!r}")
             if not (math.isfinite(value) and value > 0.0):
-                raise RegnetsError(f"{key} must be finite and > 0, got {value}")
+                raise InputError(f"{key} must be finite and > 0, got {value}")
 
     @property
     def _scale(self) -> float:
@@ -111,17 +111,17 @@ class Measure:
         for loc, w in atoms:
             loc = tuple(float(v) for v in np.atleast_1d(loc))
             if len(loc) != dim:
-                raise RegnetsError(f"atom location {loc} has wrong dimension")
+                raise InputError(f"atom location {loc} has wrong dimension")
             if not w > 0:
-                raise RegnetsError("atom weights must be positive")
+                raise InputError("atom weights must be positive")
             norm_atoms.append((loc, float(w)))
         if not density_weight >= 0:
-            raise RegnetsError(f"density_weight must be >= 0, got {density_weight}")
+            raise InputError(f"density_weight must be >= 0, got {density_weight}")
         if density_weight and density is None:
-            raise RegnetsError(f"density_weight {density_weight} needs a density")
+            raise InputError(f"density_weight {density_weight} needs a density")
         total = sum(w for _, w in norm_atoms) + density_weight
         if not abs(total - 1.0) <= 1e-12:
-            raise RegnetsError(f"total mass {total} != 1")
+            raise InputError(f"total mass {total} != 1")
         object.__setattr__(self, "atoms", tuple(norm_atoms))
         object.__setattr__(self, "density", density)
         object.__setattr__(self, "density_weight", float(density_weight))
@@ -175,7 +175,7 @@ def mollify_measure(
 ) -> GridFunction:
     """h_eps = mu * rho_eps: closed-form sums for atoms, FFT for the density."""
     if mu.dim != grid.dim:
-        raise RegnetsError("measure and grid dimension mismatch")
+        raise InputError("measure and grid dimension mismatch")
     x = grid.axis_coords()
     h = np.zeros(grid.shape)
     for loc, w in mu.atoms:
@@ -212,8 +212,7 @@ class CutoffFamily:
     @staticmethod
     def j_of_eps(eps: float) -> int:
         """Unique integer j with 2^(-j-1) < eps <= 2^-j."""
-        if not (0.0 < eps <= 1.0):
-            raise RegnetsError(f"eps must lie in (0, 1], got {eps}")
+        _require_eps(eps)
         j = int(math.floor(-math.log2(eps)))
         while 2.0 ** (-j) < eps:
             j -= 1
@@ -280,7 +279,7 @@ def lower_bound_check(
     r_A = mu.median_radius()
     inside = h.grid.radius() <= K_radius
     if not np.any(inside):
-        raise RegnetsError("no grid nodes inside the requested ball")
+        raise InputError("no grid nodes inside the requested ball")
     measured_inf = float(h.values[inside].min())
     sharp_bound = mu.ball_mass(r_A) * float(spec.evaluate_scaled(eps, K_radius + r_A))
     return {

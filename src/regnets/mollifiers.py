@@ -19,14 +19,15 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import gamma
 
-from .errors import RegnetsError
+from .asymptotics import _require_eps
+from .errors import InputError
 from .grid import GridFunction, SpatialGrid, _require_finite
 
 
 def cauchy_power_normalization(n: int, m: float) -> float:
     """c with integral of c (1+|x|^2)^(-m/2) over R^n equal to 1 (m > n)."""
     if m <= n:
-        raise RegnetsError(f"exponent m={m} must exceed dimension n={n}")
+        raise InputError(f"exponent m={m} must exceed dimension n={n}")
     return gamma(m / 2.0) / (np.pi ** (n / 2.0) * gamma((m - n) / 2.0))
 
 
@@ -43,7 +44,7 @@ class MollifierSpec:
 
     def __post_init__(self):
         if not np.isfinite(self.exponent):
-            raise RegnetsError(f"exponent must be finite, got {self.exponent}")
+            raise InputError(f"exponent must be finite, got {self.exponent}")
         self.require_integrable(1.0)
 
     @property
@@ -56,10 +57,10 @@ class MollifierSpec:
         return self.m
 
     def require_integrable(self, power: float):
-        """Raise RegnetsError unless rho**power is integrable on R^n: m power > n."""
+        """Raise InputError unless rho**power is integrable on R^n: m power > n."""
         if self.tail_exponent * power <= self.dim:
             p = "" if power == 1.0 else f" / {power:g} for an integrable rho**{power:g}"
-            raise RegnetsError(f"exponent m={self.m} must exceed dimension n={self.dim}{p}")
+            raise InputError(f"exponent m={self.m} must exceed dimension n={self.dim}{p}")
 
     @property
     def normalization(self) -> float:
@@ -92,10 +93,9 @@ def _sample_scaled(
     axis (the grid's axis_coords, or an atom's shifted nodes x - l_k); the
     rules it checks are listed in the module docstring."""
     spec.require_integrable(power)
-    if not (0.0 < eps <= 1.0):
-        raise RegnetsError(f"eps must lie in (0, 1], got {eps}")
+    _require_eps(eps)
     if grid.dim != spec.dim:
-        raise RegnetsError(f"grid dim {grid.dim} != mollifier dim {spec.dim}")
+        raise InputError(f"grid dim {grid.dim} != mollifier dim {spec.dim}")
     grid.require_resolves(eps)
     values = spec.evaluate_scaled(eps, *np.ix_(*axes), power=power)
     _require_finite(values)

@@ -23,7 +23,7 @@ from scipy.integrate import trapezoid
 from scipy.linalg import lapack
 
 from .asymptotics import EpsGrid, EpsNet, check_log_type, loglog_fit
-from .errors import GridError, PositivityError, RegnetsError, SolverError
+from .errors import GridError, InputError, PositivityError, SolverError
 from .grid import GridFunction, SpatialGrid, norm_h_minus1, norm_hk, norm_l2
 
 LINEAR_RESIDUAL_TOL = 1e-10
@@ -225,9 +225,9 @@ class CauchyProblem:
 
     def __post_init__(self):
         if not (np.isfinite(self.T) and self.T > 0.0):
-            raise RegnetsError(f"T must be finite and > 0, got {self.T}")
+            raise InputError(f"T must be finite and > 0, got {self.T}")
         if not (isinstance(self.time_steps, (int, np.integer)) and self.time_steps >= 1):
-            raise RegnetsError(f"time_steps must be an integer >= 1, got {self.time_steps}")
+            raise InputError(f"time_steps must be an integer >= 1, got {self.time_steps}")
 
     @property
     def dt(self) -> float:
@@ -255,7 +255,7 @@ class SolveResult:
         """Largest per-step change of ||u||_L2 relative to ||g||_L2; 0 for zero data."""
         l2 = self.norm_history[:, 1]
         if len(l2) == 0:
-            raise RegnetsError("the L2 drift needs a solve with record_norms=True")
+            raise InputError("the L2 drift needs a solve with record_norms=True")
         step = float(np.max(np.abs(np.diff(l2))))
         return step / l2[0] if l2[0] else (np.inf if step else 0.0)
 
@@ -362,7 +362,7 @@ def solve(
     snap_set = sorted(set(float(t) for t in snapshot_times))
     for ts in snap_set:
         if not 0.0 <= ts <= problem.T:
-            raise RegnetsError(f"snapshot time {ts} is outside [0, T] with T={problem.T}")
+            raise InputError(f"snapshot time {ts} is outside [0, T] with T={problem.T}")
 
     def norms_row(t, vec):
         gf = GridFunction(grid, vec)
@@ -503,7 +503,7 @@ def uniqueness_probe(
     of the unperturbed solution's sup_t H1 net (solution_sup_h1_net).
     """
     if q < 0:
-        raise RegnetsError(f"q must be nonnegative, got {q}")
+        raise InputError(f"q must be nonnegative, got {q}")
     difference = replace(problem, initial=lambda e: e**q * perturbation, forcing=None)
     diffs = []
     for eps in eps_grid:

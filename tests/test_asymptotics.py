@@ -1,19 +1,25 @@
 """Eps grids, nets, log-log classification and the log-type coefficient test."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from regnets import (
+    CutoffFamily,
     EpsGrid,
     EpsNet,
     GridFunction,
+    InputError,
+    MollifierSpec,
     RegnetsError,
     SpatialGrid,
     check_log_type,
     classify_moderate,
     loglog_fit,
+    scaled_mollifier,
 )
 
 
@@ -37,6 +43,20 @@ class TestEpsGrid:
             EpsGrid([2.0, 1.0, 0.5, 0.25, 0.125, 0.0625])
         with pytest.raises(RegnetsError):
             EpsGrid([0.5, 0.25, 0.125, 0.0625, 0.03125, 0.0])
+
+    @pytest.mark.parametrize("eps", [1.5, 0.0, -0.25, float("nan")])
+    def test_eps_rule_is_one_rule(self, eps):
+        # an eps grid, the dyadic cutoff index and the sampler reject the
+        # same values with the same message
+        spec, grid = MollifierSpec(dim=1, exponent=4.0), SpatialGrid(1, 4.0, 1024)
+        attempts = [
+            lambda: EpsGrid((eps,) + tuple(2.0**-j for j in range(10, 15))),
+            lambda: CutoffFamily.j_of_eps(eps),
+            lambda: scaled_mollifier(spec, eps, grid),
+        ]
+        for attempt in attempts:
+            with pytest.raises(InputError, match=re.escape(f"eps must lie in (0, 1], got {eps}")):
+                attempt()
 
     def test_geometric_endpoints(self):
         eg = EpsGrid(np.geomspace(0.5, 0.01, 7))

@@ -239,10 +239,13 @@ class TestRun:
             (SWEEP.replace("time_steps = 10", "time_steps = -5"), 8),
             (COHERENCE.replace("T = 0.1", "T = 0"), 6),
             (COHERENCE.replace("T = 0.1", "T = -0.1"), 6),
+            (SWEEP + "coefficient_base = 0\n", 9),
+            (SWEEP + "coefficient_base = -1\n", 9),
         ],
         ids=["coefficient_family", "sweep_data", "coherence_data", "density",
              "dim", "atom_without_weight", "atom_not_a_number", "points_per_axis", "half_width",
-             "zero_time_steps", "negative_time_steps", "zero_T", "negative_T"],
+             "zero_time_steps", "negative_time_steps", "zero_T", "negative_T",
+             "zero_coefficient_base", "negative_coefficient_base"],
     )
     def test_value_outside_enumeration_exits_2(self, tmp_path, capsys, text, bad_line):
         out = tmp_path / "res"
@@ -307,23 +310,23 @@ class TestRun:
         out = tmp_path / "res"
         assert run(path, out_dir=out) == 2
         err = capsys.readouterr().err
-        assert "config error" in err and "snapshot_time 0.2" in err
+        assert "config error" in err and "snapshot time 0.2" in err
         assert not out.exists()
 
     @pytest.mark.parametrize(
         "text, message",
         [
             (SWEEP + "mollifier_exponent = 0.5\n",
-             "mollifier_exponent: exponent m=0.5 must exceed dimension n=1"),
+             "exponent m=0.5 must exceed dimension n=1"),
             (PASSING["free_example"].replace("mollifier_exponent = 6", "mollifier_exponent = 1.5"),
-             "mollifier_exponent: exponent m=1.5 must exceed dimension n=1 / 0.5"
+             "exponent m=1.5 must exceed dimension n=1 / 0.5"
              " for an integrable rho**0.5"),
             (PASSING["free_example"].replace("times = 0.5", "times = 0.0"),
-             "times must be nonzero"),
+             "dispersive bound is vacuous at t = 0"),
             (PASSING["free_example"].replace("mollifier_exponent = 6", "mollifier_exponent = nan"),
-             "mollifier_exponent: exponent must be finite, got nan"),
+             "exponent must be finite, got nan"),
             (PASSING["free_example"].replace("mollifier_exponent = 6", "mollifier_exponent = inf"),
-             "mollifier_exponent: exponent must be finite, got inf"),
+             "exponent must be finite, got inf"),
         ],
         ids=["exponent_below_dim", "free_example_sqrt_not_integrable", "free_example_zero_time",
              "free_example_nan_exponent", "free_example_inf_exponent"],
@@ -346,7 +349,7 @@ class TestRun:
         path = _write(tmp_path, SQRT_MEASURE.replace("atoms = 0:1\n", ""))
         out = tmp_path / "res"
         assert run(path, out_dir=out) == 2
-        assert "sqrt_measure needs atoms and/or a density" in capsys.readouterr().err
+        assert "total mass 0.0 != 1" in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize(
@@ -376,6 +379,31 @@ class TestRun:
         assert run(path, out_dir=out) == 2
         err = capsys.readouterr().err
         assert "config error" in err and message in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            SQRT_MEASURE.replace("half_width = 4", "half_width = 1").replace(
+                "points_per_axis = 128", "points_per_axis = 1024"),
+            PASSING["free_example"].replace("half_width = 64", "half_width = 1"),
+            COHERENCE.replace("half_width = 4", "half_width = 0.9") + "data = bump\n",
+        ],
+        ids=["sqrt_measure", "free_example", "coherence_bump"],
+    )
+    def test_box_too_small_for_the_test_functions_exits_2(self, tmp_path, capsys, text):
+        # the experiment's own bumps of radius 1 at the origin need half_width > 1
+        out = tmp_path / "res"
+        assert run(_write(tmp_path, text), out_dir=out) == 2
+        assert "config error: bump support reaches the box boundary" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_library_failure_that_is_not_input_exits_1(self, tmp_path, capsys):
+        # the reference solution cannot meet a 1e-12 self-convergence gap at
+        # 128 points: ReferenceError_ is a run failure, not unusable input
+        out = tmp_path / "res"
+        assert run(_write(tmp_path, COHERENCE + "tolerance = 1e-12\n"), out_dir=out) == 1
+        assert "run failed: reference self-convergence gap" in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize("name", EXPERIMENTS)

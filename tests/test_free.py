@@ -9,6 +9,7 @@ from regnets import (
     EpsGrid,
     GridError,
     GridFunction,
+    InputError,
     MollifierSpec,
     ProbabilityDensitySnapshot,
     RegnetsError,
@@ -181,7 +182,7 @@ class TestVagueConvergence:
             vague_convergence_check(
                 spec, EpsGrid.dyadic(1, 6), grid, 0.0, [bump(grid, 0.0, 1.0)]
             )
-        assert raised.type is RegnetsError
+        assert raised.type is InputError
 
     @pytest.mark.parametrize(
         "dim, half_width, points, exponent, t",
@@ -233,9 +234,9 @@ class TestVagueConvergence:
     @pytest.mark.parametrize(
         "case, error",
         [
-            ("eps_above_one", RegnetsError),
+            ("eps_above_one", InputError),
             ("under_resolved", ResolutionError),
-            ("sqrt_not_integrable", RegnetsError),
+            ("sqrt_not_integrable", InputError),
             ("non_finite_samples", GridError),
             ("psi_on_other_grid", GridError),
         ],

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from regnets import (
+    BoxTooSmallError,
     GridError,
     GridFunction,
     ResolutionError,
@@ -309,8 +310,14 @@ class TestTestFunctions:
     def test_support_reaching_the_box_is_rejected(self, make):
         g = SpatialGrid(1, 4.0, 256)
         make(g, 2.9, 1.0)
-        with pytest.raises(GridError, match="bump support reaches the box boundary"):
+        with pytest.raises(BoxTooSmallError, match="bump support reaches the box boundary"):
             make(g, 3.0, 1.0)
+
+    def test_box_too_small_names_the_half_width_it_needs(self):
+        # the box must exceed max|centre| + width
+        with pytest.raises(BoxTooSmallError) as raised:
+            bump(SpatialGrid(2, 2.0, 64), (0.5, -1.25), 0.75)
+        assert raised.value.required_half_width == 2.0
 
     @pytest.mark.parametrize("make", [bump, oscillatory_bump, linear_bump])
     def test_scalar_centre_stands_for_every_axis(self, make):
