@@ -40,7 +40,6 @@ from .grid import (
     norm_l2,
     norm_linf,
     norm_hk,
-    norm_h_minus1,
     derivative,
     pair,
 )

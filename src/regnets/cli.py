@@ -56,6 +56,7 @@ from .solver import (
     CauchyProblem,
     CoefficientNet,
     constant_coefficient,
+    energy_audit,
     log_time_coefficient,
     mollified_jump_coefficient,
     solve,
@@ -330,10 +331,13 @@ def _run_schrodinger_sweep(config, workers):
         for t, l2, h1, h2 in hist:
             rows.append((eps, t, l2, h1, h2))
     fit = classify_moderate(EpsNet(eps_grid, sup_h1))
+    audits = [energy_audit(res, problem, eps) for eps, res in zip(eps_grid, results)]
     checks = [
         ("sup_h1_moderate", fit.moderate_loose, f"slope={fit.slope:.3f} rms={fit.rms:.3f}"),
         ("l2_conservation", all(res.conserves_l2 for res in results),
          f"max_step_drift={max(res.l2_drift for res in results):.3e}"),
+        ("energy_estimate", all(a["passes"] for a in audits),
+         f"worst_ratio={max(a['ratio'] for a in audits):.3f}"),
     ]
     tables = {
         "norm_history.csv": (["eps", "t", "l2", "h1", "h2"], rows),

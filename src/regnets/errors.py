@@ -12,7 +12,7 @@ class InputError(RegnetsError):
 
 
 class GridError(RegnetsError):
-    """Invalid grid parameters or grid mismatch between operands."""
+    """Grid mismatch between operands, or grid values a computation cannot use."""
 
 
 class ResolutionError(InputError):

@@ -16,7 +16,7 @@ from itertools import product
 
 import numpy as np
 
-from .errors import BoxTooSmallError, GridError, ResolutionError, UnsupportedOrderError
+from .errors import BoxTooSmallError, GridError, InputError, ResolutionError, UnsupportedOrderError
 
 MAX_SOBOLEV_ORDER = 4
 
@@ -35,11 +35,11 @@ class SpatialGrid:
 
     def __post_init__(self):
         if self.dim not in (1, 2):
-            raise GridError(f"dim must be 1 or 2, got {self.dim}")
+            raise InputError(f"dim must be 1 or 2, got {self.dim}")
         if not self.half_width > 0:
-            raise GridError(f"half_width must be positive, got {self.half_width}")
+            raise InputError(f"half_width must be positive, got {self.half_width}")
         if self.points_per_axis < 8 or not _is_power_of_two(self.points_per_axis):
-            raise GridError(
+            raise InputError(
                 f"points_per_axis must be a power of two >= 8, got {self.points_per_axis}"
             )
 
@@ -303,15 +303,6 @@ def norm_hk(u: GridFunction, k: int) -> float:
     w = _sobolev_weights(g, k)
     total = np.sum(w * np.abs(F) ** 2)
     # Parseval: sum |u|^2 = sum |F|^2 / M^n
-    return float(np.sqrt(g.cell_volume * total / g.points_per_axis**g.dim))
-
-
-def norm_h_minus1(u: GridFunction) -> float:
-    """Spectral H^-1 norm: (1 + |xi|^2)^(-1/2) weight in frequency."""
-    g = u.grid
-    F = np.fft.fftn(u.values)
-    w = _sobolev_weights(g, 1)
-    total = np.sum(np.abs(F) ** 2 / w)
     return float(np.sqrt(g.cell_volume * total / g.points_per_axis**g.dim))
 
 

@@ -9,6 +9,8 @@ flux form (forward difference, half-node coefficient, backward difference),
 which keeps the operator real symmetric; time stepping is the implicit
 midpoint (Crank-Nicolson) rule with coefficients frozen at half steps, a
 Cayley transform that preserves the discrete L2 norm exactly when f = 0.
+The same transform preserves the energy K ||u||^2 - <H u, u>, so the
+paper's energy estimate holds step by step on the grid (energy_audit).
 """
 
 from __future__ import annotations
@@ -19,12 +21,11 @@ from typing import Callable, Sequence
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
-from scipy.integrate import trapezoid
 from scipy.linalg import lapack
 
 from .asymptotics import EpsGrid, EpsNet, check_log_type, loglog_fit
 from .errors import GridError, InputError, PositivityError, SolverError
-from .grid import GridFunction, SpatialGrid, norm_h_minus1, norm_hk, norm_l2
+from .grid import GridFunction, SpatialGrid, norm_hk, norm_l2
 
 LINEAR_RESIDUAL_TOL = 1e-10
 # GMRES of the 2-D Krylov path: Krylov vectors per restart cycle, and cycles
@@ -130,8 +131,8 @@ class CoefficientNet:
     c0: float
 
     def __init__(self, c: Sequence[Coefficient], V: Coefficient | None, c0: float):
-        if c0 <= 0:
-            raise PositivityError(f"c0 must be positive, got {c0}")
+        if not c0 > 0:
+            raise InputError(f"c0 must be positive, got {c0}")
         object.__setattr__(self, "c", tuple(c))
         object.__setattr__(self, "V", V or constant_coefficient(0.0))
         object.__setattr__(self, "c0", float(c0))
@@ -249,6 +250,8 @@ class SolveResult:
     backend: str  # "tridiagonal", "fft" (direct) or "krylov" (GMRES), picked by _cn_solver
     factorizations: int  # operator and solver (LU or preconditioner) builds
     iterations: int  # Krylov iterations over the march; 0 for direct backends
+    h_pairings: np.ndarray  # <H u, u> per norm row, H the operator of the step that made u (H_0 for g)
+    forcing_pairings: np.ndarray  # rows (||f_j||^2, <H_j f_j, f_j>) per step of a forced solve
 
     @property
     def l2_drift(self) -> float:
@@ -350,7 +353,8 @@ def solve(
     backend _cn_solver picks for the step's operator. R u and the relative
     residual ||S u_new - rhs|| / ||rhs|| are computed matrix-free; every
     step's residual is recorded and must meet 1e-10, else SolverError, as
-    is a Krylov solve that stops short of its tolerance.
+    is a Krylov solve that stops short of its tolerance. Norm rows also
+    record the inner products energy_audit reads (SolveResult fields).
     """
     grid, dt, Nt = problem.grid, problem.dt, problem.time_steps
     lam = 0.5j * dt
@@ -375,6 +379,9 @@ def solve(
                 snapshots[ts] = GridFunction(grid, vec)
 
     history = [norms_row(0.0, u)] if record_norms else []
+    # real part of <a, b>: <a, a> and <a, H a> are real, H being real symmetric
+    pairing = lambda a, b: grid.cell_volume * np.vdot(a, b).real
+    h_pairings, forcing_pairings = [], []
     take_snapshots(0.0, u)
 
     time_dep = any(c.dt_evaluate is not None for c in (*problem.coeffs.c, problem.coeffs.V))
@@ -386,9 +393,14 @@ def solve(
             backend, solve_step = _cn_solver(op, dt)
             factorizations += 1
             h_u = op.apply(u)
+        if record_norms and m == 0:
+            h_pairings.append(pairing(u, h_u))
         rhs = u + lam * h_u
         if problem.forcing is not None:
-            rhs = rhs + dt * problem.forcing_values(eps, t_half)
+            f = problem.forcing_values(eps, t_half)
+            rhs = rhs + dt * f
+            if record_norms:
+                forcing_pairings.append((pairing(f, f), pairing(f, op.apply(f))))
         new, its, info = solve_step(rhs)
         iterations += its
         if info:
@@ -410,6 +422,7 @@ def solve(
         times.append(t_new)
         if record_norms:
             history.append(norms_row(t_new, u))
+            h_pairings.append(pairing(u, h_u))
         take_snapshots(t_new, u)
 
     return SolveResult(
@@ -421,6 +434,8 @@ def solve(
         backend=backend,
         factorizations=factorizations,
         iterations=iterations,
+        h_pairings=np.asarray(h_pairings),
+        forcing_pairings=np.reshape(forcing_pairings, (-1, 2)),
     )
 
 
@@ -429,52 +444,40 @@ def solve(
 
 
 def energy_audit(result: SolveResult, problem: CauchyProblem, eps: float) -> dict:
-    """Compare sup_t ||u||_H1^2 with the growth bound built from the data.
+    """The paper's energy estimate, checked at every step of the solve.
 
-    The bound realizes the a priori estimate with all O-constants set to 1:
-    rhs = C2 * exp(C1) * (||g||_H1^2 +
-    int_0^T (||f||_L2^2 + ||d_t f||_{H-1}^2) dt), with
-    C2 = T (c0 + ||V||_inf) and C1 = (T / c0) (max_k ||d_t c_k||_inf +
-    ||d_t V||_inf). The sup norms run over the solve's own times
-    result.times; coefficients declared independent of t need one
-    evaluation and contribute 0 to C1. Because the absolute constants in
-    the estimate are not specified, the report carries the ratio rather
-    than asserting <= 1.
+    With K = c0 + sup|V|, Q_j(u) = K ||u||^2 - <H_j u, u> = sum_k <c_k D+_k u,
+    D+_k u> + <(K - V) u, u> >= c0 (||D+ u||^2 + ||u||^2) is a squared norm.
+    Step j maps u to C u + dt S^-1 f_j, where C = S^-1 R is the Cayley
+    transform of H_j: unitary and commuting with H_j, so Q_j(C u) = Q_j(u),
+    and S^-1 commutes with H_j with norm <= 1. From one step to the next,
+    |Q_{j+1}(u) - Q_j(u)| <= (dt C1 / T) Q_j(u), C1 = (T / c0) (sup|d_t c| +
+    sup|d_t V|). So e_m = Q(u_m), taken with the operator of the step that
+    produced u_m (H_0 for g), obeys
+    sqrt(e_{m+1}) <= sqrt(1 + dt C1 / T) sqrt(e_m) + dt sqrt(Q_m(f_m)), and
+    max_m e_m <= (sqrt(e_0) + sum_m dt sqrt(Q_m(f_m)))^2 exp(C1) follows.
+
+    passes iff no step exceeds that rule by more than 1e-10 of its right
+    side; ratio is max_m e_m over the bound. The sups run over the solve's
+    half-step times. Needs a solve with norm rows, else InputError.
     """
-    grid, T = problem.grid, problem.T
-    lhs = float(np.max(result.norm_history[:, 2]) ** 2)
-    g = problem.initial(eps)
-    g_h1sq = norm_hk(g, 1) ** 2
-
-    # trapezoid over the solver's own times; d_t f by the differences of
-    # np.gradient (central inside, one-sided at 0 and T) from a window of the
-    # samples m - 1, m, m + 1, so memory does not grow with the step count
-    f_int = 0.0
-    if problem.forcing is not None:
-        times, dt, n = result.times, problem.dt, len(result.times)
-        window, terms = {}, []
-        for m in range(n):
-            lo, hi = max(m - 1, 0), min(m + 1, n - 1)
-            window = {k: window[k] if k in window else problem.forcing_values(eps, times[k])
-                      for k in range(lo, hi + 1)}
-            d = (window[hi] - window[lo]) / ((hi - lo) * dt)
-            f_sq = norm_l2(GridFunction(grid, window[m])) ** 2
-            terms.append(f_sq + norm_h_minus1(GridFunction(grid, d)) ** 2)
-        f_int = float(trapezoid(terms, times))
-
+    if len(result.h_pairings) == 0:
+        raise InputError("the energy audit needs a solve with record_norms=True")
+    grid, T, dt, c0 = problem.grid, problem.T, problem.dt, problem.coeffs.c0
     c, V = problem.coeffs.c, problem.coeffs.V
-    sup_dtc = _dt_sup(c, eps, result.times, grid)
-    sup_dtv = _dt_sup((V,), eps, result.times, grid)
-    v_times = (0.0,) if V.dt_evaluate is None else result.times
-    sup_v = max(float(np.max(np.abs(V.evaluate(eps, t, grid)))) for t in v_times)
-    C1 = (T / problem.coeffs.c0) * (sup_dtc + sup_dtv)
-    C2 = T * (problem.coeffs.c0 + sup_v)
-    rhs = max(C2, 1e-300) * np.exp(C1) * (g_h1sq + f_int)
-    return {
-        "ratio": float(lhs / rhs) if rhs > 0 else np.inf,
-        "C1": C1,
-        "C2": C2,
-    }
+    half = (np.arange(problem.time_steps) + 0.5) * dt
+    v_times = half[:1] if V.dt_evaluate is None else half
+    K = c0 + max(float(np.max(np.abs(V.evaluate(eps, t, grid)))) for t in v_times)
+    C1 = (T / c0) * (_dt_sup(c, eps, half, grid) + _dt_sup((V,), eps, half, grid))
+
+    root = np.sqrt(K * result.norm_history[:, 1] ** 2 - result.h_pairings)
+    f_sq, h_f = result.forcing_pairings.T
+    push = dt * np.sqrt(K * f_sq - h_f) if len(f_sq) else np.zeros(len(root) - 1)
+    rule = np.sqrt(1.0 + dt * C1 / T) * root[:-1] + push
+    excess = np.max((root[1:] - rule) / np.where(rule > 0, rule, 1.0))
+    bound = (root[0] + np.sum(push)) ** 2 * np.exp(C1)
+    ratio = float(np.max(root) ** 2 / bound) if bound > 0 else 0.0
+    return {"ratio": ratio, "C1": C1, "passes": bool(excess <= 1e-10)}
 
 
 def solution_sup_h1_net(problem: CauchyProblem, eps_grid: EpsGrid) -> EpsNet:
