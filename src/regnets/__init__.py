@@ -4,8 +4,6 @@ measures, flux-form Crank-Nicolson evolution, and asymptotic verdicts."""
 from .asymptotics import (
     EpsGrid,
     EpsNet,
-    AsymptoticFit,
-    classify_moderate,
     check_log_type,
     loglog_fit,
 )
@@ -80,6 +78,7 @@ from .solver import (
     build_operator,
     solve,
     energy_audit,
+    energy_moderateness,
     solution_sup_h1_net,
     uniqueness_probe,
 )

@@ -1,8 +1,8 @@
-"""Epsilon-indexed nets and empirical asymptotic classification.
+"""Epsilon-indexed nets, log-log regression and the log-type test.
 
 A net is a family of grid functions (or scalars) indexed by a decreasing
-eps-grid. Moderateness (at most power growth in 1/eps) is decided by
-log-log least squares on the tested range only; verdicts are explicitly
+eps-grid. loglog_fit measures power exponents in 1/eps and check_log_type
+tests growth like log(1/eps), both on the tested range only: verdicts are
 finite-grid certificates, not proofs of the quantified statements they
 mirror.
 """
@@ -16,10 +16,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import InputError
-from .grid import GridFunction, norm_linf
-
-RESIDUAL_THRESHOLD = 0.1  # log-units rms accepted as a clean power law
-LOOSE_RESIDUAL_THRESHOLD = 0.25  # ... accepted as a power law bending to a plateau
+from .grid import GridFunction
 
 
 def _require_eps(eps: float):
@@ -80,21 +77,6 @@ class EpsNet:
         return len(self.items)
 
 
-@dataclass(frozen=True)
-class AsymptoticFit:
-    """Result of a log-log regression of a net's sizes against 1/eps.
-
-    slope is the fitted exponent a in size ~ eps^(-a); negative slope means
-    decay. rms is the fit's residual in log units, infinite with fewer than
-    4 nonzero sizes.
-    """
-
-    slope: float
-    rms: float
-    moderate: bool  # rms < RESIDUAL_THRESHOLD
-    moderate_loose: bool  # rms < LOOSE_RESIDUAL_THRESHOLD
-
-
 def loglog_fit(eps: np.ndarray, values: np.ndarray):
     """Least squares of log(values) against log(1/eps); returns slope,
     intercept, rms residual, and the number of usable (nonzero) points."""
@@ -110,18 +92,6 @@ def loglog_fit(eps: np.ndarray, values: np.ndarray):
     coef, *_ = np.linalg.lstsq(A, y, rcond=None)
     resid = y - A @ coef
     return float(coef[0]), float(coef[1]), float(np.sqrt(np.mean(resid**2))), n
-
-
-def classify_moderate(net: EpsNet) -> AsymptoticFit:
-    """Fit log size vs log(1/eps); the fit's rms decides moderateness.
-
-    The size of a grid item is its sup norm, of a scalar its absolute value.
-    """
-    vals = np.asarray(
-        [norm_linf(it) if isinstance(it, GridFunction) else abs(float(it)) for it in net.items]
-    )
-    slope, _, rms, _ = loglog_fit(np.asarray(net.eps.values), vals)
-    return AsymptoticFit(slope, rms, rms < RESIDUAL_THRESHOLD, rms < LOOSE_RESIDUAL_THRESHOLD)
 
 
 def check_log_type(eps: EpsGrid, sup_norms: Sequence[float]):

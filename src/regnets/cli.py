@@ -29,7 +29,7 @@ from pathlib import Path
 import numpy as np
 
 from . import io
-from .asymptotics import EpsGrid, EpsNet, classify_moderate
+from .asymptotics import EpsGrid, EpsNet, loglog_fit
 from .errors import ConfigError, InputError, RegnetsError
 from .free import free_evolve, vague_convergence_check
 from .grid import (
@@ -38,6 +38,7 @@ from .grid import (
     bump,
     linear_bump,
     norm_l2,
+    norm_linf,
     oscillatory_bump,
 )
 from .lab import association_of_solution, coherence_experiment, mollify_gridfunction
@@ -57,6 +58,7 @@ from .solver import (
     CoefficientNet,
     constant_coefficient,
     energy_audit,
+    energy_moderateness,
     log_time_coefficient,
     mollified_jump_coefficient,
     solve,
@@ -237,11 +239,11 @@ def _run_selftest(config, workers):
          f"{abs(norm_l2(u1) - norm_l2(u0)):.2e}")
     )
     eg = EpsGrid.dyadic(2, 7)
-    net = EpsNet(eg, [scaled_mollifier(spec, e, grid) for e in eg])
-    fit = classify_moderate(net)
+    sups = [norm_linf(scaled_mollifier(spec, e, grid)) for e in eg]
+    slope, _, rms, _ = loglog_fit(np.asarray(eg.values), np.asarray(sups))
     checks.append(
-        ("mollifier_sup_moderate", fit.moderate and abs(fit.slope - 1.0) < 0.1,
-         f"slope={fit.slope:.3f}")
+        ("mollifier_sup_moderate", rms < 0.1 and abs(slope - 1.0) < 0.1,
+         f"slope={slope:.3f}")
     )
     return checks, {}
 
@@ -330,10 +332,13 @@ def _run_schrodinger_sweep(config, workers):
         sup_h1.append(float(np.max(hist[:, 2])))
         for t, l2, h1, h2 in hist:
             rows.append((eps, t, l2, h1, h2))
-    fit = classify_moderate(EpsNet(eps_grid, sup_h1))
     audits = [energy_audit(res, problem, eps) for eps, res in zip(eps_grid, results)]
+    moderate = energy_moderateness(eps_grid, audits)
+    C1 = [a["C1"] for a in audits]
     checks = [
-        ("sup_h1_moderate", fit.moderate_loose, f"slope={fit.slope:.3f} rms={fit.rms:.3f}"),
+        ("sup_h1_moderate", moderate["passes"],
+         f"C1={min(C1):.3f}..{max(C1):.3f} "
+         f"log_type_residual={moderate['log_type']['rel_residual']:.1e}"),
         ("l2_conservation", all(res.conserves_l2 for res in results),
          f"max_step_drift={max(res.l2_drift for res in results):.3e}"),
         ("energy_estimate", all(a["passes"] for a in audits),

@@ -1,4 +1,4 @@
-"""Eps grids, nets, log-log classification and the log-type coefficient test."""
+"""Eps grids, nets, log-log regression and the log-type coefficient test."""
 
 import re
 
@@ -17,7 +17,6 @@ from regnets import (
     RegnetsError,
     SpatialGrid,
     check_log_type,
-    classify_moderate,
     loglog_fit,
     scaled_mollifier,
 )
@@ -112,40 +111,6 @@ class TestLogLogFit:
         slope, _, rms, _ = loglog_fit(eps, c * eps ** (-a))
         assert slope == pytest.approx(a, abs=1e-9)
         assert rms < 1e-9
-
-
-class TestClassification:
-    def _scalar_net(self, fn):
-        eg = EpsGrid.dyadic(2, 9)
-        return EpsNet(eg, [fn(e) for e in eg.values])
-
-    def test_growth_is_moderate(self):
-        fit = classify_moderate(self._scalar_net(lambda e: e**-2))
-        assert fit.moderate
-        assert fit.slope == pytest.approx(2.0, abs=1e-12)
-
-    def test_decay_is_moderate_with_order_zero_bound(self):
-        fit = classify_moderate(self._scalar_net(lambda e: 5.0))
-        assert fit.moderate
-        assert fit.slope == pytest.approx(0.0, abs=1e-12)
-
-    def test_exponential_growth_is_not_a_power_law(self):
-        fit = classify_moderate(self._scalar_net(lambda e: np.exp(1.0 / e)))
-        assert not fit.moderate and not fit.moderate_loose
-
-    def test_bent_power_law_is_only_loosely_moderate(self):
-        # 1/(eps + 0.05) grows like 1/eps, then levels off at 20
-        fit = classify_moderate(self._scalar_net(lambda e: 1.0 / (e + 0.05)))
-        assert 0.1 < fit.rms < 0.25
-        assert fit.moderate_loose and not fit.moderate
-
-    def test_grid_valued_net_with_seminorm(self):
-        eg = EpsGrid.dyadic(2, 9)
-        grid = SpatialGrid(1, 1.0, 64)
-        items = [GridFunction(grid, np.full(64, 1.0 / e)) for e in eg.values]
-        fit = classify_moderate(EpsNet(eg, items))
-        assert fit.moderate
-        assert fit.slope == pytest.approx(1.0, abs=1e-10)
 
 
 class TestLogType:

@@ -6,6 +6,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import beta
 
 from regnets import (
     CauchyProblem,
@@ -15,20 +16,26 @@ from regnets import (
     GridError,
     GridFunction,
     InputError,
+    MollifierSpec,
     PositivityError,
     RegnetsError,
     SolverError,
     SpatialGrid,
     build_operator,
-    classify_moderate,
+    bump,
+    cauchy_power_normalization,
     constant_coefficient,
     energy_audit,
+    energy_moderateness,
     log_time_coefficient,
+    loglog_fit,
     mollified_jump_coefficient,
+    mollify_gridfunction,
     norm_hk,
     norm_l2,
     power_time_coefficient,
-    solution_sup_h1_net,
+    sampled_mass,
+    scaled_mollifier,
     solve,
     spatial_coefficient,
     uniqueness_probe,
@@ -577,14 +584,75 @@ class TestAudits:
             energy_audit(res, problem, 0.5)
 
     def test_sup_h1_net_grows_like_a_power(self):
-        from regnets import MollifierSpec
-
         grid = SpatialGrid(1, 2.0, 4096)
         spec = MollifierSpec(dim=1, exponent=3.0)
         problem = self._dirac_problem(grid, _free_net(), spec, T=0.05, steps=25)
         eg = EpsGrid.dyadic(2, 7)
-        fit = classify_moderate(solution_sup_h1_net(problem, eg))
-        assert fit.moderate and fit.slope > 0.0
+        results = [solve(problem, eps) for eps in eg]
+        audits = [energy_audit(res, problem, eps) for eps, res in zip(eg, results)]
+        assert energy_moderateness(eg, audits)["passes"]
+        audits[-1] = {**audits[-1], "passes": False}
+        assert not energy_moderateness(eg, audits)["passes"]
+        sups = [np.max(res.norm_history[:, 2]) for res in results]
+        assert loglog_fit(np.asarray(eg.values), np.asarray(sups))[0] > 0.0
+
+    @pytest.mark.parametrize("T", [0.1, 0.5])
+    def test_power_time_coefficient_is_not_moderate(self, T):
+        # c = 1 + t eps^-1/2 exp(-x^2): every step obeys the energy rule, but
+        # C1 grows like eps^-1/2, so exp(C1) is no power of 1/eps. The deleted
+        # log-log classifier called both runs moderate: their sup_t H1 nets
+        # fit a power law with rms 0.012 (T = 0.1) and 0.016 (T = 0.5).
+        grid = SpatialGrid(1, 2.0, 2048)
+        coeffs = CoefficientNet(
+            c=(power_time_coefficient(1.0, lambda x: np.exp(-(x**2)), power=0.5),),
+            V=None,
+            c0=1.0,
+        )
+        problem = self._dirac_problem(grid, coeffs, MollifierSpec(dim=1, exponent=4.0), T=T, steps=50)
+        eg = EpsGrid.dyadic(1, 6)
+        audits = [energy_audit(solve(problem, eps), problem, eps) for eps in eg]
+        assert all(a["passes"] for a in audits)
+        assert not energy_moderateness(eg, audits)["passes"]
+
+    def test_data_energy_order_per_data_kind(self):
+        # The data energy e_0 = Q_0(g) = c0 ||g||^2 - <H_0 g, g> (V = 0), read
+        # off the solve, on the CLI's log_time coefficient (c0 = 0.5):
+        # rho_eps data (the cn_timedep benchmark's CLI config) has
+        #   sqrt(e_0) eps^(3/2) -> sqrt(c(0)) ||rho'||_L2,
+        # rho_eps * b data (the golden schrodinger_sweep config) has the bound
+        #   sqrt(e_0) <= m_eps sqrt(c_max / c_min) sqrt(Q_0(b)).
+        eg = EpsGrid.dyadic(1, 6)
+
+        def sqrt_data_energy(problem):
+            rows = [solve(problem, eps) for eps in eg]
+            return np.sqrt([0.5 * r.norm_history[0, 1] ** 2 - r.h_pairings[0] for r in rows])
+
+        def sweep_problem(half_width, spec, initial, T, steps):
+            grid = SpatialGrid(1, half_width, 2048)
+            c = log_time_coefficient(1.0, lambda x: 0.1 * np.cos(np.pi * x / half_width))
+            return CauchyProblem(
+                grid=grid, coeffs=CoefficientNet(c=(c,), V=None, c0=0.5),
+                initial=lambda e: initial(spec, e, grid), forcing=None, T=T, time_steps=steps,
+            )
+
+        spec = MollifierSpec(dim=1, exponent=4.0)
+        dirac = sweep_problem(2.0, spec, lambda s, e, grid: scaled_mollifier(s, e, grid), 0.5, 50)
+        origin = dirac.grid.points_per_axis // 2
+        c_origin = [dirac.coeffs.c[0].evaluate(e, dirac.dt / 2, dirac.grid)[origin] for e in eg]
+        grad_rho = cauchy_power_normalization(1, 4.0) * 4.0 * np.sqrt(beta(1.5, 4.5))
+        predicted = np.sqrt(c_origin) * grad_rho * np.asarray(eg.values) ** -1.5
+        assert np.all(np.abs(sqrt_data_energy(dirac) / predicted - 1.0) < 0.05)
+
+        spec = MollifierSpec(dim=1)
+        grid = SpatialGrid(1, 1.5, 2048)
+        b = bump(grid, 0.0, 1.0).gridfunc
+        bumped = sweep_problem(1.5, spec, lambda s, e, _: mollify_gridfunction(b, s, e), 0.1, 10)
+        for eps, root in zip(eg, sqrt_data_energy(bumped)):
+            op = build_operator(bumped.coeffs, eps, bumped.dt / 2, grid)
+            q_b = grid.cell_volume * np.vdot(b.values, 0.5 * b.values - op.apply(b.values)).real
+            m_eps = sampled_mass(scaled_mollifier(spec, eps, grid))
+            c_half = op.c_half[0]
+            assert root <= m_eps * np.sqrt(c_half.max() / c_half.min() * q_b)
 
     @pytest.mark.parametrize("q", [4, 10])
     def test_uniqueness_probe_passes_for_negligible_perturbation(self, q):
