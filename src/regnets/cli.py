@@ -129,7 +129,6 @@ _SCHEMAS = {
         **_GRID_SCHEMA,
         "coefficient_family": (("constant", "log_time", "jump"), True, None),
         "coefficient_base": ("positive", False, 1.0),
-        "potential": ("float", False, 0.0),
         "data": (("dirac", "bump"), False, "dirac"),
         "T": ("positive", True, None),
         "time_steps": ("count", True, None),
@@ -142,7 +141,6 @@ _SCHEMAS = {
     "coherence": {
         **_GRID_SCHEMA,
         "coefficient_base": ("positive", False, 1.0),
-        "potential": ("float", False, 0.0),
         "data": (("gaussian", "bump"), False, "gaussian"),
         "T": ("positive", True, None),
         "time_steps": ("count", True, None),
@@ -302,8 +300,7 @@ def _coefficient_net(config, grid):
         c = mollified_jump_coefficient(base, 2.0 * base, 0.0)
     else:
         c = constant_coefficient(base)
-    V = constant_coefficient(config.get("potential", 0.0))
-    return CoefficientNet(c=(c,) * grid.dim, V=V, c0=0.5 * base)
+    return CoefficientNet(c=(c,) * grid.dim, V=None, c0=0.5 * base)
 
 
 def _run_schrodinger_sweep(config, workers):

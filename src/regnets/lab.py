@@ -69,7 +69,8 @@ def coherence_experiment(
     must agree to reference_tol / 10 in sup-t H1, else ReferenceError. Per
     eps the data are mollified in x and the larger H1 difference at the
     snapshot times T/2 and T is recorded; monotone decay, the final
-    difference and the fitted eps-rate form the verdict.
+    difference and the fitted eps-rate form the verdict. Precondition: coeffs
+    must not depend on eps, since the reference and certificate use eps = 1.
     """
     snapshot_times = [T / 2.0, T]
     reference = CauchyProblem(

@@ -298,20 +298,22 @@ def lower_bound_sweep(
 ) -> dict:
     """Per-eps infima of h_eps on the ball and their exponent fit.
 
-    The decisive certificate is the slope of log(inf) vs log(1/eps): it passes
-    iff it matches -(m0 - n) within 0.15, i.e. the infimum scales like eps^(m0-n).
+    Passes iff every infimum clears lower_bound_check's chain bound and the
+    slope of log(inf) vs log(1/eps) matches -(m0 - n) within 0.15.
     """
-    infs = []
+    infs, bounds_hold = [], True
     for eps in eps_grid:
         h = mollify_measure(mu, spec, eps, grid)
-        infs.append(lower_bound_check(h, mu, spec, eps, K_radius)["measured_inf"])
+        rep = lower_bound_check(h, mu, spec, eps, K_radius)
+        infs.append(rep["measured_inf"])
+        bounds_hold &= rep["passes"]
     slope = -loglog_fit(np.asarray(eps_grid.values), np.asarray(infs))[0]  # exponent of eps
     target = spec.tail_exponent - spec.dim
     return {
         "inf_values": infs,
         "slope": slope,
         "target_exponent": target,
-        "passes": abs(slope - target) <= 0.15,
+        "passes": bounds_hold and abs(slope - target) <= 0.15,
     }
 
 

@@ -505,7 +505,7 @@ def energy_moderateness(eps_grid: EpsGrid, audits: Sequence[dict]) -> dict:
 
 
 def solution_sup_h1_net(problem: CauchyProblem, eps_grid: EpsGrid) -> EpsNet:
-    """sup over steps of ||u_eps(t)||_H1 per eps (the growth order N of uniqueness_probe)."""
+    """sup over steps of ||u_eps(t)||_H1 per eps."""
     sups = []
     for eps in eps_grid:
         res = solve(problem, eps)
@@ -523,11 +523,12 @@ def uniqueness_probe(
 
     The scheme is linear, so the perturbed solution minus the unperturbed
     one solves the difference problem: data eps^q * w, zero forcing. Per eps
-    that problem is solved directly (no subtraction of two O(1) solutions,
-    so no roundoff floor) and its space-time L2 norm
-    sqrt(dt * sum_m ||v_m||_L2^2) over all Nt + 1 states is recorded. Passes
-    iff the fitted decay exponent is at least q - N, with N the growth order
-    of the unperturbed solution's sup_t H1 net (solution_sup_h1_net).
+    only that problem is solved (no subtraction of two O(1) solutions, so no
+    roundoff floor) and its space-time L2 norm sqrt(dt * sum_m ||v_m||_L2^2)
+    is recorded. The step is L2-unitary, so that net is eps^q times a constant
+    (growth order 0): passes iff the fitted decay exponent is at least q - 0.2,
+    which fails only if the solver stops being linear or unitary in the data.
+    Negligible changes of the coefficients are ROADMAP item 11.
     """
     if q < 0:
         raise InputError(f"q must be nonnegative, got {q}")
@@ -536,13 +537,10 @@ def uniqueness_probe(
     for eps in eps_grid:
         l2 = solve(difference, eps).norm_history[:, 1]
         diffs.append(float(np.sqrt(problem.dt * np.sum(l2**2))))
-    sups = solution_sup_h1_net(problem, eps_grid).items
-    eps_arr = np.asarray(eps_grid.values)
-    slope, _, rms, npts = loglog_fit(eps_arr, np.asarray(diffs))
+    slope, _, rms, npts = loglog_fit(np.asarray(eps_grid.values), np.asarray(diffs))
     decay = -slope if npts >= 4 else np.inf  # exponent of eps
-    N = max(loglog_fit(eps_arr, np.asarray(sups))[0], 0.0)
     return {
         "decay_exponent": float(decay),
         "fit_rms": rms,
-        "passes": bool(decay >= q - N - 0.2),
+        "passes": bool(decay >= q - 0.2),
     }

@@ -223,7 +223,7 @@ def test_solution_net_moderateness_log_type():
 
 
 def test_negligible_perturbation_stays_negligible():
-    # eps^6 data perturbation yields difference decay >= 6 - N - 0.2 (N = 0 here)
+    # eps^6 data perturbation yields difference decay >= 6 - 0.2 (exactly 6 by unitarity)
     t0 = time.perf_counter()
     grid = SpatialGrid(1, 4.0, 2048)
     coeffs = CoefficientNet(

@@ -115,10 +115,11 @@ class TestParseConfig:
         assert exc.value.line == 1
 
     def test_unknown_key(self, tmp_path):
-        path = _write(tmp_path, "experiment = selftest\nwidth = 3\n")
-        with pytest.raises(ConfigError, match="unknown key") as exc:
-            parse_config(path)
-        assert exc.value.line == 2
+        for text, line in [("experiment = selftest\nwidth = 3\n", 2), (SWEEP + "potential = 0.3\n", 9)]:
+            path = _write(tmp_path, text)
+            with pytest.raises(ConfigError, match="unknown key") as exc:
+                parse_config(path)
+            assert exc.value.line == line
 
     def test_untypable_value(self, tmp_path):
         path = _write(tmp_path, "experiment = free_example\ndim = two\n")

@@ -16,8 +16,10 @@ from regnets import (
     free_evolve,
     linear_bump,
     mollify_gridfunction,
+    norm_hk,
     pair,
     scaled_mollifier,
+    spatial_coefficient,
 )
 from regnets.lab import association_of_solution, coherence_experiment
 
@@ -96,6 +98,24 @@ class TestCoherence:
                 grid, _const_net(), g0, None, SPEC, eg, T=0.5, time_steps=25,
                 reference_tol=1e-4,
             )
+
+    def test_variable_coefficient_enters_the_gaps(self):
+        # with constant c the CN step is unitary in H1, so each gap equals
+        # ||rho_eps * g - g||_H1 and no PDE effect is measured; c(x) breaks that
+        grid = SpatialGrid(1, 4.0, 4096)
+        g0 = GridFunction.from_profile(grid, lambda x: np.exp(-(x**2)))
+        coeffs = CoefficientNet(
+            c=(spatial_coefficient(lambda x: 1.0 + 0.5 * np.exp(-(x**2))),),
+            V=constant_coefficient(0.0), c0=1.0,
+        )
+        eg = EpsGrid([0.25, 0.177, 0.125, 0.088, 0.0625, 0.0442, 0.03125, 0.0221, 0.015625])
+        result = coherence_experiment(
+            grid, coeffs, g0, None, SPEC, eg, T=0.1, time_steps=200,
+            reference_tol=1e-3,
+        )
+        assert result.monotone and result.first_order and result.final_below_tol
+        data_gaps = [norm_hk(mollify_gridfunction(g0, SPEC, e) - g0, 1) for e in eg]
+        assert max(abs(d / m - 1.0) for d, m in zip(result.h1_sup_diffs, data_gaps)) > 0.01
 
     def test_forcing_is_mollified_too(self):
         grid = SpatialGrid(1, 8.0, 4096)

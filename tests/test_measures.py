@@ -13,6 +13,7 @@ from regnets import (
     EpsGrid,
     EpsNet,
     GridError,
+    GridFunction,
     Measure,
     MollifierSpec,
     RegnetsError,
@@ -384,6 +385,23 @@ class TestReports:
             SpatialGrid(1, 4.0, 1024), K_radius=1.0,
         )
         assert not coarse["passes"]
+
+    def test_lower_bound_sweep_fails_a_net_short_by_one_percent(self, monkeypatch):
+        # h_eps scaled by 0.99 keeps the fitted slope, so only the chain bound
+        # of lower_bound_check can catch it
+        import regnets.measures
+
+        real = regnets.measures.mollify_measure
+        monkeypatch.setattr(
+            regnets.measures, "mollify_measure",
+            lambda *args: GridFunction(args[3], 0.99 * real(*args).values),
+        )
+        spec = MollifierSpec(dim=1, exponent=2.0)
+        sweep = lower_bound_sweep(
+            Measure.dirac(), spec, EpsGrid.dyadic(2, 9), SpatialGrid(1, 4.0, 65536), K_radius=1.0
+        )
+        assert abs(sweep["slope"] - sweep["target_exponent"]) <= 0.15
+        assert not sweep["passes"]
 
     def test_association_of_squared_root(self):
         grid = SpatialGrid(1, 8.0, 32768)

@@ -654,19 +654,50 @@ class TestAudits:
             c_half = op.c_half[0]
             assert root <= m_eps * np.sqrt(c_half.max() / c_half.min() * q_b)
 
-    @pytest.mark.parametrize("q", [4, 10])
-    def test_uniqueness_probe_passes_for_negligible_perturbation(self, q):
+    @staticmethod
+    def _uniqueness_problem(coeffs):
         grid = SpatialGrid(1, 2.0, 512)
         rng = np.random.default_rng(21)
         w = GridFunction(grid, rng.standard_normal(512))
         u0 = GridFunction.from_profile(grid, lambda x: np.exp(-4 * x**2))
         problem = CauchyProblem(
-            grid=grid, coeffs=_free_net(), initial=lambda e: u0, forcing=None,
+            grid=grid, coeffs=coeffs, initial=lambda e: u0, forcing=None,
             T=0.1, time_steps=20,
         )
+        return problem, w
+
+    @pytest.mark.parametrize(
+        "q, family",
+        [(4, "constant"), (10, "constant"), (4, "log_time"), (10, "log_time")],
+        ids=["4", "10", "4-log_time", "10-log_time"],
+    )
+    def test_uniqueness_probe_passes_for_negligible_perturbation(self, q, family):
+        # the CN step is linear and L2-unitary, so the difference net is
+        # exactly eps^q * ||w||_L2 * sqrt(T + dt), whatever the coefficients
+        coeffs = _free_net() if family == "constant" else CoefficientNet(
+            c=(log_time_coefficient(1.0, lambda x: 0.1 * np.cos(np.pi * x / 2)),),
+            V=constant_coefficient(0.0), c0=0.5,
+        )
+        problem, w = self._uniqueness_problem(coeffs)
         rep = uniqueness_probe(problem, EpsGrid.dyadic(1, 6), q=q, perturbation=w)
         assert rep["passes"]
-        assert rep["decay_exponent"] == pytest.approx(q, abs=0.1)
+        assert abs(rep["decay_exponent"] - q) <= 1e-9
+
+    def test_uniqueness_probe_solves_only_the_difference(self, monkeypatch):
+        import regnets.solver
+
+        calls = []
+        real_solve = regnets.solver.solve
+
+        def counting_solve(*args, **kwargs):
+            calls.append(args[1])
+            return real_solve(*args, **kwargs)
+
+        monkeypatch.setattr(regnets.solver, "solve", counting_solve)
+        problem, w = self._uniqueness_problem(_free_net())
+        eps_grid = EpsGrid.dyadic(1, 6)
+        uniqueness_probe(problem, eps_grid, q=4, perturbation=w)
+        assert calls == list(eps_grid.values)
 
     def test_uniqueness_probe_rejects_negative_q(self):
         grid = SpatialGrid(1, 2.0, 64)
