@@ -10,10 +10,7 @@ from .asymptotics import (
 from .errors import (
     RegnetsError,
     InputError,
-    GridError,
     ResolutionError,
-    UnsupportedOrderError,
-    PositivityError,
     BoxTooSmallError,
     SolverError,
     ReferenceError_,

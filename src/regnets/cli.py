@@ -43,7 +43,6 @@ from .grid import (
 )
 from .lab import association_of_solution, coherence_experiment, mollify_gridfunction
 from .measures import (
-    _DENSITY_PARAMETER,
     Density,
     Measure,
     association_check,
@@ -256,7 +255,7 @@ def _run_sqrt_measure(config, workers):
         raise ConfigError(f"density_params takes one value for a {kind} density, got {len(p)}")
     density = None
     if kind != "none":
-        density = Density(kind=kind, params={_DENSITY_PARAMETER[kind]: p[0]} if p else {})
+        density = Density.from_scale(kind, *p)
     measure = Measure(atoms, density, config["density_weight"], grid.dim)
 
     phi_items, sq_items = [], []

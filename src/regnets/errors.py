@@ -1,8 +1,13 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package.
+
+A check on the caller's input raises InputError or a subclass (CLI exit 2);
+a computation that fails its own check raises any other RegnetsError (exit 1).
+"""
 
 
 class RegnetsError(Exception):
-    """Base class for all package errors."""
+    """Base class for all package errors; raised as such when a computation
+    fails a check of its own that no narrower class names."""
 
 
 class InputError(RegnetsError):
@@ -11,24 +16,12 @@ class InputError(RegnetsError):
     The CLI exits 2 on it and 1 on any other RegnetsError."""
 
 
-class GridError(RegnetsError):
-    """Grid mismatch between operands, or grid values a computation cannot use."""
-
-
 class ResolutionError(InputError):
     """Grid spacing too coarse to resolve the requested scale."""
 
     def __init__(self, message, required_points=None):
         super().__init__(message)
         self.required_points = required_points
-
-
-class UnsupportedOrderError(RegnetsError):
-    """Derivative / Sobolev order beyond the supported range."""
-
-
-class PositivityError(RegnetsError):
-    """A quantity that must be strictly positive is not."""
 
 
 class BoxTooSmallError(InputError):

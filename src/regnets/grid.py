@@ -16,7 +16,7 @@ from itertools import product
 
 import numpy as np
 
-from .errors import BoxTooSmallError, GridError, InputError, ResolutionError, UnsupportedOrderError
+from .errors import BoxTooSmallError, InputError, ResolutionError
 
 MAX_SOBOLEV_ORDER = 4
 
@@ -105,7 +105,7 @@ class GridFunction:
     def __init__(self, grid: SpatialGrid, values: np.ndarray):
         values = np.array(values, dtype=float if np.isrealobj(values) else complex)
         if values.shape != grid.shape:
-            raise GridError(f"values shape {values.shape} != grid shape {grid.shape}")
+            raise InputError(f"values shape {values.shape} != grid shape {grid.shape}")
         _require_finite(values)
         values.setflags(write=False)
         object.__setattr__(self, "grid", grid)
@@ -142,12 +142,12 @@ class GridFunction:
 
 def _require_finite(values: np.ndarray):
     if not np.all(np.isfinite(values)):
-        raise GridError("values contain NaN or Inf")
+        raise InputError("values contain NaN or Inf")
 
 
 def _check_same_grid(a: SpatialGrid, b: SpatialGrid):
     if a != b:
-        raise GridError("operands live on different grids")
+        raise InputError("operands live on different grids")
 
 
 def _edge_max(values: np.ndarray):
@@ -174,9 +174,9 @@ class TestFunction:
     def __post_init__(self):
         v = self.gridfunc.values
         if np.iscomplexobj(v):
-            raise GridError("test function must be real-valued (float64)")
+            raise InputError("test function must be real-valued (float64)")
         if _edge_max(v) != 0.0:
-            raise GridError("test function must vanish on the outermost grid layer")
+            raise InputError("test function must vanish on the outermost grid layer")
 
     @property
     def grid(self) -> SpatialGrid:
@@ -196,12 +196,12 @@ def _support_box(psi: TestFunction) -> list[tuple[float, float]]:
 
 def _point(coords, dim: int) -> tuple[float, ...]:
     """A point of R^dim. A scalar or a single coordinate stands for every
-    axis; any other number of coordinates than dim raises GridError."""
+    axis; any other number of coordinates than dim raises InputError."""
     point = tuple(float(v) for v in np.atleast_1d(coords))
     if len(point) == 1:
         return point * dim
     if len(point) != dim:
-        raise GridError(f"a point of R^{dim} takes 1 or {dim} coordinates, got {len(point)}")
+        raise InputError(f"a point of R^{dim} takes 1 or {dim} coordinates, got {len(point)}")
     return point
 
 
@@ -295,7 +295,7 @@ def _sobolev_weights(grid: SpatialGrid, k: int):
 def norm_hk(u: GridFunction, k: int) -> float:
     """Discrete Sobolev norm: spectral derivatives up to total order k <= 4."""
     if k < 0 or k > MAX_SOBOLEV_ORDER:
-        raise UnsupportedOrderError(f"Sobolev order {k} not supported (0 <= k <= 4)")
+        raise InputError(f"Sobolev order {k} not supported (0 <= k <= 4)")
     if k == 0:
         return norm_l2(u)
     g = u.grid
@@ -309,10 +309,10 @@ def norm_hk(u: GridFunction, k: int) -> float:
 def derivative(u: GridFunction, axis: int = 0, order: int = 1) -> GridFunction:
     """Fourier-collocation derivative along one axis; exact for band-limited u."""
     if order not in (1, 2):
-        raise UnsupportedOrderError(f"derivative order must be 1 or 2, got {order}")
+        raise InputError(f"derivative order must be 1 or 2, got {order}")
     g = u.grid
     if axis < 0 or axis >= g.dim:
-        raise GridError(f"axis {axis} out of range for dim {g.dim}")
+        raise InputError(f"axis {axis} out of range for dim {g.dim}")
     mult = (1j * g.wavenumbers()[axis]) ** order
     if order % 2 == 1:
         mult[g.points_per_axis // 2] = 0.0  # drop the unsigned Nyquist mode

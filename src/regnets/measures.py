@@ -16,7 +16,7 @@ import numpy as np
 from scipy import integrate
 
 from .asymptotics import EpsGrid, EpsNet, _require_eps, loglog_fit
-from .errors import BoxTooSmallError, InputError, PositivityError
+from .errors import BoxTooSmallError, InputError, RegnetsError
 from .grid import GridFunction, SpatialGrid, TestFunction, _point, _support_box, pair, periodic_convolve
 from .mollifiers import MollifierSpec, _sample_scaled
 
@@ -46,6 +46,11 @@ class Density:
                 raise InputError(f"{self.kind} density takes only {allowed!r}, got {key!r}")
             if not (math.isfinite(value) and value > 0.0):
                 raise InputError(f"{key} must be finite and > 0, got {value}")
+
+    @classmethod
+    def from_scale(cls, kind: str, scale: float | None = None) -> "Density":
+        """The kind's density with its own key ('half_width' or 'sigma') set to scale."""
+        return cls(kind, {} if scale is None else {_DENSITY_PARAMETER.get(kind): scale})
 
     @property
     def _scale(self) -> float:
@@ -185,7 +190,7 @@ def mollify_measure(
         rho = _sample_scaled(spec, eps, grid, 1.0, (x,) * grid.dim)
         h += mu.density_weight * periodic_convolve(dens, rho, grid)
     if h.min() <= 0.0:
-        raise PositivityError(
+        raise RegnetsError(
             "mollified measure non-positive at a node (quadrature/underflow failure)"
         )
     return GridFunction(grid, h)
@@ -194,10 +199,10 @@ def mollify_measure(
 def sqrt_root(h: GridFunction) -> GridFunction:
     """Pointwise positive square root of a strictly positive float64 grid function."""
     if np.iscomplexobj(h.values):
-        raise PositivityError("square root input must be real (float64)")
+        raise InputError("square root input must be real (float64)")
     vals = h.values
     if vals.min() <= 0.0:
-        raise PositivityError(f"input not strictly positive (min {vals.min()})")
+        raise InputError(f"input not strictly positive (min {vals.min()})")
     return GridFunction(h.grid, np.sqrt(vals))
 
 

@@ -9,7 +9,7 @@ _sample_scaled is the package's only sampler of rho_eps**p on grid nodes,
 and it owns every rule a sample must meet: rho**p integrable (m p > n, in
 MollifierSpec.require_integrable; sqrt(rho) needs m > 2n), eps in (0, 1],
 spec dim = grid dim, spacing <= eps/8 (grid.require_resolves) and finite
-values (GridError).
+values. Each violation raises InputError.
 """
 
 from __future__ import annotations

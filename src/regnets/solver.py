@@ -25,7 +25,7 @@ import scipy.sparse.linalg as spla
 from scipy.linalg import lapack
 
 from .asymptotics import EpsGrid, EpsNet, check_log_type, loglog_fit
-from .errors import GridError, InputError, PositivityError, SolverError
+from .errors import InputError, SolverError
 from .grid import GridFunction, SpatialGrid, norm_hk, norm_l2
 
 LINEAR_RESIDUAL_TOL = 1e-10
@@ -201,12 +201,12 @@ def build_operator(
     for k, vals in enumerate(c_fields):
         low = vals.min()
         if not low >= coeffs.c0 - 1e-12:  # also catches a NaN minimum
-            raise PositivityError(
+            raise InputError(
                 f"c_{k} dips below c0={coeffs.c0} at (eps={eps}, t={t}): min={low}"
             )
     v_field = coeffs.V.evaluate(eps, t, grid)
     if not np.all(np.isfinite(v_field)):
-        raise GridError(f"potential V is not finite at (eps={eps}, t={t})")
+        raise InputError(f"potential V is not finite at (eps={eps}, t={t})")
     return FluxFormOperator(grid, c_fields, v_field)
 
 

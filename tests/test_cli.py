@@ -399,6 +399,14 @@ class TestRun:
         assert "config error: bump support reaches the box boundary" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_coefficient_dipping_below_c0_exits_2(self, tmp_path, capsys):
+        # log-time c_k falls below c0 = 0.5 before t = 10: input the caller can fix
+        text = SWEEP.replace("constant", "log_time").replace("T = 0.1", "T = 10")
+        out = tmp_path / "res"
+        assert run(_write(tmp_path, text), out_dir=out) == 2
+        assert "config error: c_0 dips below c0=0.5" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_library_failure_that_is_not_input_exits_1(self, tmp_path, capsys):
         # the reference solution cannot meet a 1e-12 self-convergence gap at
         # 128 points: ReferenceError_ is a run failure, not unusable input

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from regnets import (
     EpsGrid,
-    GridError,
     GridFunction,
     InputError,
     MollifierSpec,
@@ -237,8 +236,8 @@ class TestVagueConvergence:
             ("eps_above_one", InputError),
             ("under_resolved", ResolutionError),
             ("sqrt_not_integrable", InputError),
-            ("non_finite_samples", GridError),
-            ("psi_on_other_grid", GridError),
+            ("non_finite_samples", InputError),
+            ("psi_on_other_grid", InputError),
         ],
     )
     def test_bad_input_raises_typed_error(self, case, error, monkeypatch):

@@ -1,5 +1,6 @@
-"""Every name a package module imports is used in that module, and the
-package's own modules are imported at module top.
+"""Every name a package module imports is used in that module, the
+package's own modules are imported at module top, and every raise follows
+the package's one error rule.
 
 Parses each module of src/regnets except the package's __init__ (whose
 imports are its public re-exports) and fails on any imported name that the
@@ -53,3 +54,57 @@ def _function_local_package_imports(path):
 def test_package_modules_are_imported_at_module_top():
     local = [entry for path in sorted(SRC.glob("*.py")) for entry in _function_local_package_imports(path)]
     assert local == []
+
+
+# Raises that follow a protocol outside the package, by (module, function, class).
+PROTOCOL_RAISES = {
+    # parsed like float() and int(); parse_config turns each ValueError into a ConfigError
+    ("cli.py", "parse_checked", "ValueError"),
+    # argparse's type-converter protocol; argparse exits 2 on it
+    ("cli.py", "_positive_int", "ArgumentTypeError"),
+    # Python's protocol for a read-only attribute
+    ("grid.py", "__setattr__", "AttributeError"),
+}
+
+
+def _input_error_classes():
+    """InputError and every class errors.py derives from it, at any depth."""
+    bases = {
+        node.name: {b.id for b in node.bases if isinstance(b, ast.Name)}
+        for node in ast.parse((SRC / "errors.py").read_text()).body
+        if isinstance(node, ast.ClassDef)
+    }
+    found = {"InputError"}
+    while grown := {name for name, b in bases.items() if b & found} - found:
+        found |= grown
+    return found
+
+
+def _raises(path):
+    """(function, raised class name) for every raise of an exception in path."""
+    found = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Raise) and child.exc is not None:
+                exc = child.exc.func if isinstance(child.exc, ast.Call) else child.exc
+                name = exc.attr if isinstance(exc, ast.Attribute) else getattr(exc, "id", None)
+                found.append((scope, name))
+            is_function = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef))
+            visit(child, child.name if is_function else scope)
+
+    visit(ast.parse(path.read_text()), "<module>")
+    return found
+
+
+def test_every_raise_is_an_input_error_or_a_computation_failure():
+    # InputError and its subclasses: input the caller can fix (CLI exit 2);
+    # the other three: a computation that failed its own check (exit 1)
+    allowed = _input_error_classes() | {"SolverError", "ReferenceError_", "RegnetsError"}
+    modules = sorted(SRC.glob("*.py"))
+    raises = [(path.name, scope, name) for path in modules for scope, name in _raises(path)]
+    # the walker sees every line that starts a raise statement
+    lines = [line.lstrip() for path in modules for line in path.read_text().splitlines()]
+    assert len(raises) == sum(line.startswith("raise ") for line in lines)
+    stray = [r for r in raises if r[2] not in allowed and r not in PROTOCOL_RAISES]
+    assert stray == []

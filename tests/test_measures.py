@@ -12,8 +12,8 @@ from regnets import (
     Density,
     EpsGrid,
     EpsNet,
-    GridError,
     GridFunction,
+    InputError,
     Measure,
     MollifierSpec,
     RegnetsError,
@@ -51,9 +51,9 @@ class TestMeasure:
         assert Measure.dirac((0.5,), dim=2).atoms == mu2.atoms
         assert Measure.dirac((0.1, 0.2), dim=2).atoms == (((0.1, 0.2), 1.0),)
         # the rule of the test-function catalog: 1 or n coordinates
-        with pytest.raises(GridError, match="got 3"):
+        with pytest.raises(InputError, match="got 3"):
             Measure.dirac((0.0, 0.0, 0.0), dim=2)
-        with pytest.raises(GridError, match="got 2"):
+        with pytest.raises(InputError, match="got 2"):
             Measure.dirac((0.0, 0.5), dim=1)
 
     @pytest.mark.parametrize(
@@ -228,6 +228,15 @@ class TestMollifyMeasure:
         h = mollify_measure(mu, SPEC_1D, 0.25, grid)
         assert np.min(h.values.real) > 0.0
 
+    def test_roundoff_loss_of_positivity_is_a_computation_failure(self):
+        # the true h_eps is about 3e-18 at the box edge, far below the FFT
+        # roundoff of the density convolution: the input is valid and the
+        # computation fails its own check, so the CLI exits 1, not 2
+        mu = Measure(density=Density("uniform"), density_weight=1.0)
+        with pytest.raises(RegnetsError, match="mollified measure non-positive") as exc:
+            mollify_measure(mu, MollifierSpec(1, 6.0), 0.25, SpatialGrid(1, 256.0, 131072))
+        assert not isinstance(exc.value, InputError)
+
     def test_density_component_mass_preserved(self):
         grid = SpatialGrid(1, 16.0, 8192)
         mu = Measure(
@@ -304,17 +313,13 @@ class TestSqrtRoot:
         assert phi.values.real[2048] == pytest.approx(oracle, rel=1e-12)
 
     def test_rejects_nonpositive_input(self):
-        from regnets import GridFunction, PositivityError
-
         grid = SpatialGrid(1, 1.0, 16)
-        with pytest.raises(PositivityError):
+        with pytest.raises(InputError):
             sqrt_root(GridFunction.zeros(grid))
 
     def test_rejects_complex_dtype_even_with_zero_imaginary_part(self):
-        from regnets import GridFunction, PositivityError
-
         grid = SpatialGrid(1, 1.0, 16)
-        with pytest.raises(PositivityError, match="real"):
+        with pytest.raises(InputError, match="real"):
             sqrt_root(GridFunction(grid, np.ones(16, dtype=complex)))
 
 

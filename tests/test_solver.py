@@ -13,11 +13,9 @@ from regnets import (
     Coefficient,
     CoefficientNet,
     EpsGrid,
-    GridError,
     GridFunction,
     InputError,
     MollifierSpec,
-    PositivityError,
     RegnetsError,
     SolverError,
     SpatialGrid,
@@ -137,14 +135,14 @@ class TestCoefficients:
         with pytest.raises(InputError, match="c0 must be positive, got 0.0"):
             CoefficientNet(c=(constant_coefficient(1.0),), V=None, c0=0.0)
 
-    def test_check_positivity_catches_dips(self):
+    def test_build_operator_rejects_a_dip_below_c0(self):
         grid = SpatialGrid(1, 1.0, 64)
         net = CoefficientNet(
             c=(spatial_coefficient(lambda x: 0.1 + 0.0 * x),),
             V=None,
             c0=0.5,
         )
-        with pytest.raises(PositivityError, match=r"c_0 dips below c0=0.5 at \(eps=0.5, t=0.0\): min=0.1"):
+        with pytest.raises(InputError, match=r"c_0 dips below c0=0.5 at \(eps=0.5, t=0.0\): min=0.1"):
             build_operator(net, 0.5, 0.0, grid)
 
     @pytest.mark.parametrize("bad", ["nan_c", "nan_V"])
@@ -160,12 +158,12 @@ class TestCoefficients:
             T=0.1, time_steps=10,
         )
         if bad == "nan_c":
-            with pytest.raises(PositivityError, match="c_0 dips below c0=0.5"):
+            with pytest.raises(InputError, match="c_0 dips below c0=0.5"):
                 build_operator(net, 0.5, 0.0, grid)
-            with pytest.raises(PositivityError, match="c_0 dips below c0=0.5"):
+            with pytest.raises(InputError, match="c_0 dips below c0=0.5"):
                 solve(problem, 0.5)
         else:
-            with pytest.raises(GridError, match=r"potential V is not finite at \(eps=0.5, t=0.005\)"):
+            with pytest.raises(InputError, match=r"potential V is not finite at \(eps=0.5, t=0.005\)"):
                 solve(problem, 0.5)
 
     def test_log_time_family_is_log_type(self):
