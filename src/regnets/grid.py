@@ -268,7 +268,11 @@ def linear_bump(grid: SpatialGrid, center=0.0, width: float = 1.0) -> TestFuncti
 
 def norm_l2(u: GridFunction) -> float:
     """Discrete L2 norm (cell volume weighted)."""
-    return float(np.sqrt(u.grid.cell_volume * np.sum(np.abs(u.values) ** 2)))
+    return _l2_norm(u.grid, u.values)
+
+
+def _l2_norm(grid: SpatialGrid, values: np.ndarray) -> float:
+    return float(np.sqrt(grid.cell_volume * np.sum(np.abs(values) ** 2)))
 
 
 def norm_linf(u: GridFunction) -> float:
@@ -298,28 +302,40 @@ def norm_hk(u: GridFunction, k: int) -> float:
         raise InputError(f"Sobolev order {k} not supported (0 <= k <= 4)")
     if k == 0:
         return norm_l2(u)
-    g = u.grid
-    F = np.fft.fftn(u.values)
-    w = _sobolev_weights(g, k)
-    total = np.sum(w * np.abs(F) ** 2)
+    return _parseval_norm(u.grid, np.abs(np.fft.fftn(u.values)) ** 2, k)
+
+
+def _parseval_norm(grid: SpatialGrid, power: np.ndarray, k: int) -> float:
+    """H^k norm, 1 <= k <= 4, of the samples whose fftn has power = |F|^2."""
+    total = np.sum(_sobolev_weights(grid, k) * power)
     # Parseval: sum |u|^2 = sum |F|^2 / M^n
-    return float(np.sqrt(g.cell_volume * total / g.points_per_axis**g.dim))
+    return float(np.sqrt(grid.cell_volume * total / grid.points_per_axis**grid.dim))
 
 
 def derivative(u: GridFunction, axis: int = 0, order: int = 1) -> GridFunction:
-    """Fourier-collocation derivative along one axis; exact for band-limited u."""
+    """Fourier-collocation derivative along one axis; exact for band-limited u.
+
+    Real u gives a real derivative, from the half spectrum (rfft / irfft).
+    """
     if order not in (1, 2):
         raise InputError(f"derivative order must be 1 or 2, got {order}")
     g = u.grid
     if axis < 0 or axis >= g.dim:
         raise InputError(f"axis {axis} out of range for dim {g.dim}")
-    mult = (1j * g.wavenumbers()[axis]) ** order
+    M = g.points_per_axis
+    real = np.isrealobj(u.values)
+    # the half spectrum ends at Nyquist, -M/2 in fft order: even orders square its sign away
+    mult = (1j * g.wavenumbers()[axis][: M // 2 + 1 if real else M]) ** order
     if order % 2 == 1:
-        mult[g.points_per_axis // 2] = 0.0  # drop the unsigned Nyquist mode
+        mult[M // 2] = 0.0  # drop the unsigned Nyquist mode
     shape = [1] * g.dim
-    shape[axis] = g.points_per_axis
-    F = np.fft.fft(u.values, axis=axis)
-    out = np.fft.ifft(mult.reshape(shape) * F, axis=axis)
+    shape[axis] = mult.size
+    if real:
+        F = np.fft.rfft(u.values, axis=axis)
+        out = np.fft.irfft(mult.reshape(shape) * F, n=M, axis=axis)
+    else:
+        F = np.fft.fft(u.values, axis=axis)
+        out = np.fft.ifft(mult.reshape(shape) * F, axis=axis)
     return GridFunction(g, out)
 
 

@@ -13,6 +13,7 @@ from regnets import (
     Coefficient,
     CoefficientNet,
     EpsGrid,
+    FluxFormOperator,
     GridFunction,
     InputError,
     MollifierSpec,
@@ -231,6 +232,34 @@ class TestFluxFormOperator:
             (op.as_sparse() @ u.ravel()).reshape(16, 16), op.apply(u), rtol=1e-12
         )
 
+    @staticmethod
+    def _roll_apply(op, u):
+        """H u in the roll form: the bitwise reference of apply."""
+        out = op.v * u
+        for k, ch in enumerate(op.c_half):
+            fwd = np.roll(u, -1, axis=k) - u
+            flux = ch * fwd
+            out = out + (flux - np.roll(flux, 1, axis=k)) / op.dx**2
+        return out
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.complex128])
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_apply_equals_the_roll_form_bit_for_bit(self, dim, dtype):
+        grid = SpatialGrid(dim, 1.3, 256 if dim == 1 else 32)
+        rng = np.random.default_rng(dim)
+        c_fields = [0.5 + rng.random(grid.shape) for _ in range(dim)]
+        op = FluxFormOperator(grid, c_fields, rng.standard_normal(grid.shape))
+        u = rng.standard_normal(grid.shape).astype(dtype)
+        if dtype == np.complex128:
+            u += 1j * rng.standard_normal(grid.shape)
+        out = op.apply(u)
+        assert out.dtype == dtype
+        assert np.array_equal(out, self._roll_apply(op, u))
+        # a strided flat vector reshaped to the grid, as the Krylov matvec passes it
+        flat = np.zeros(2 * u.size, dtype=dtype)
+        flat[::2] = u.ravel()
+        assert np.array_equal(op.apply(flat[::2].reshape(grid.shape)), out)
+
     def test_operator_is_symmetric(self):
         grid = SpatialGrid(1, 1.0, 64)
         net = CoefficientNet(
@@ -389,6 +418,21 @@ class TestCrankNicolson:
             l2 = res.norm_history[:, 1]
             assert np.max(np.abs(np.diff(l2))) <= 1e-12 * l2[0]
         assert max(res.residuals) <= 1e-10
+
+    @pytest.mark.parametrize(
+        "case",
+        ["1d_jump", "1d_log_time_c", "1d_time_dependent_V", "1d_forced",
+         "2d_uniform_forced", "2d_log_time_c", "2d_jump"],
+    )
+    def test_norm_rows_equal_the_public_norms_bit_for_bit(self, case):
+        problem = _backend_case(case)
+        times = [m * problem.dt for m in range(problem.time_steps + 1)]
+        res = solve(problem, 1.0 / 64, snapshot_times=times)
+        rows = [
+            (t, norm_l2(u), norm_hk(u, 1), norm_hk(u, 2)) for t, u in sorted(res.snapshots.items())
+        ]
+        assert len(rows) == problem.time_steps + 1
+        assert np.array_equal(res.norm_history, np.asarray(rows))
 
     def test_time_dependent_coefficient_is_not_frozen(self):
         # the wobbling coefficient is 1 at the instants t = 0, 0.37T, T;
