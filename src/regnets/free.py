@@ -22,7 +22,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.fft import dctn, idctn
 
 from .asymptotics import EpsGrid, loglog_fit
 from .errors import InputError
@@ -39,11 +38,21 @@ from .solver import CauchyProblem, CoefficientNet, constant_coefficient, solve
 
 
 def free_evolve(u0: GridFunction, t: float) -> GridFunction:
-    """exp(i t Laplacian) u0: the symbol exp(-i t |xi|^2) is a product of per-axis phases."""
+    """exp(i t Laplacian) u0: the symbol exp(-i t |xi|^2) is a product of per-axis phases.
+
+    fftfreq makes xi_{M-k} exactly -xi_k, so the M/2 + 1 phases of
+    k = 0 ... M/2 serve every axis: the upper half of the spectrum takes
+    the lower phases in mirror order.
+    """
     F = np.fft.fftn(u0.values)
-    for xi in np.ix_(*u0.grid.wavenumbers()):
-        # phase first: with FMA, complex products depend on operand order
-        np.multiply(np.exp(-1j * t * xi**2), F, out=F)
+    h = u0.grid.points_per_axis // 2 + 1
+    phase = np.exp(-1j * t * u0.grid.wavenumbers()[0][:h] ** 2)
+    for axis in range(F.ndim):
+        shape = (1,) * axis + (-1,) + (1,) * (F.ndim - axis - 1)
+        for p, part in ((phase, slice(None, h)), (phase[h - 2 : 0 : -1], slice(h, None))):
+            view = F[(slice(None),) * axis + (part,)]
+            # phase first: with FMA, complex products depend on operand order
+            np.multiply(p.reshape(shape), view, out=view)
     return GridFunction(u0.grid, np.fft.ifftn(F))
 
 
@@ -136,6 +145,9 @@ def vague_convergence_check(
     each psi folded once into its reflection average; the dispersive sup
     is their max.
     """
+    # the one DCT user: a free_evolve or solver run never loads scipy.fft
+    from scipy.fft import dctn, idctn
+
     n, M = grid.dim, grid.points_per_axis
     k = np.arange(M // 2 + 1)
     plus, minus = (M // 2 + k) % M, (M // 2 - k) % M

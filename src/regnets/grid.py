@@ -302,12 +302,12 @@ def norm_hk(u: GridFunction, k: int) -> float:
         raise InputError(f"Sobolev order {k} not supported (0 <= k <= 4)")
     if k == 0:
         return norm_l2(u)
-    return _parseval_norm(u.grid, np.abs(np.fft.fftn(u.values)) ** 2, k)
+    return _parseval_norm(u.grid, _sobolev_weights(u.grid, k), np.abs(np.fft.fftn(u.values)) ** 2)
 
 
-def _parseval_norm(grid: SpatialGrid, power: np.ndarray, k: int) -> float:
-    """H^k norm, 1 <= k <= 4, of the samples whose fftn has power = |F|^2."""
-    total = np.sum(_sobolev_weights(grid, k) * power)
+def _parseval_norm(grid: SpatialGrid, weights: np.ndarray, power: np.ndarray) -> float:
+    """H^k norm of the samples whose fftn has power = |F|^2, weights = _sobolev_weights(grid, k)."""
+    total = np.sum(weights * power)
     # Parseval: sum |u|^2 = sum |F|^2 / M^n
     return float(np.sqrt(grid.cell_volume * total / grid.points_per_axis**grid.dim))
 

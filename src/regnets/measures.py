@@ -13,7 +13,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import integrate
 
 from .asymptotics import EpsGrid, EpsNet, _require_eps, loglog_fit
 from .errors import BoxTooSmallError, InputError, RegnetsError
@@ -94,6 +93,9 @@ class Density:
         One nquad over the box [-a, a]^n (uniform) or [-8 sigma, 8 sigma]^n
         (gaussian) cut down to the support of psi; 0 if they do not meet.
         """
+        # scipy.integrate pulls in scipy.optimize; only this oracle needs it
+        from scipy import integrate
+
         b = self._scale * (1.0 if self.kind == "uniform" else 8.0)
         ranges = [(max(lo, -b), min(hi, b)) for lo, hi in _support_box(psi)]
         if any(lo >= hi for lo, hi in ranges):

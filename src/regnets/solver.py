@@ -20,13 +20,11 @@ from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
 import numpy as np
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 from scipy.linalg import lapack
 
 from .asymptotics import EpsGrid, EpsNet, check_log_type, loglog_fit
 from .errors import InputError, SolverError
-from .grid import GridFunction, SpatialGrid, _l2_norm, _parseval_norm
+from .grid import GridFunction, SpatialGrid, _l2_norm, _parseval_norm, _sobolev_weights
 
 LINEAR_RESIDUAL_TOL = 1e-10
 # GMRES of the 2-D Krylov path: Krylov vectors per restart cycle, and cycles
@@ -187,7 +185,10 @@ class FluxFormOperator:
             np.add(out, flux_diff, out=out)
         return out
 
-    def as_sparse(self) -> sp.csc_matrix:
+    def as_sparse(self):
+        # a test reference, like _cn_matrices: no solve loads scipy.sparse
+        import scipy.sparse as sp
+
         g = self.grid
         N = g.points_per_axis**g.dim
         node = np.arange(N).reshape(g.shape)
@@ -283,8 +284,11 @@ class SolveResult:
         return self.l2_drift <= 1e-10
 
 
-def _cn_matrices(op: FluxFormOperator, dt: float) -> sp.csc_matrix:
+def _cn_matrices(op: FluxFormOperator, dt: float):
     """S = I - i(dt/2)H as a sparse matrix: the reference the solver is tested against."""
+    # a test reference, so no solve loads scipy.sparse
+    import scipy.sparse as sp
+
     H = op.as_sparse()
     return (sp.identity(H.shape[0], format="csc", dtype=complex) - 0.5j * dt * H).tocsc()
 
@@ -336,6 +340,9 @@ def _cn_solver(op: FluxFormOperator, dt: float):
     if uniform:
         return "fft", lambda rhs: (precondition(rhs), 0, 0)
 
+    # only the 2-D non-uniform backend needs GMRES; the others skip this import
+    import scipy.sparse.linalg as spla
+
     shape, n = op.grid.shape, multiplier.size
 
     def on_vectors(grid_map):
@@ -354,6 +361,13 @@ def _cn_solver(op: FluxFormOperator, dt: float):
         return x.reshape(shape), len(pr_norms), info
 
     return "krylov", solve_krylov
+
+
+def _norm(x: np.ndarray):
+    """np.linalg.norm(x) of a complex array by its own formula, without its dispatch."""
+    x = x.ravel(order="K")
+    re, im = x.real, x.imag
+    return np.sqrt(re.dot(re) + im.dot(im))
 
 
 def solve(
@@ -382,11 +396,13 @@ def solve(
         if not 0.0 <= ts <= problem.T:
             raise InputError(f"snapshot time {ts} is outside [0, T] with T={problem.T}")
 
+    weights = [_sobolev_weights(grid, k) for k in (1, 2)]
+
     def norms_row(t, vec):
         # vec is finite: g was checked as a GridFunction, and a NaN or Inf
         # state fails its step's residual audit before its row is taken
         power = np.abs(np.fft.fftn(vec)) ** 2
-        h1, h2 = (_parseval_norm(grid, power, k) for k in (1, 2))
+        h1, h2 = (_parseval_norm(grid, w, power) for w in weights)
         return (t, _l2_norm(grid, vec), h1, h2)
 
     def take_snapshots(t, vec):
@@ -410,9 +426,10 @@ def solve(
             backend, solve_step = _cn_solver(op, dt)
             factorizations += 1
             h_u = op.apply(u)
+            lam_h_u = lam * h_u
         if record_norms and m == 0:
             h_pairings.append(pairing(u, h_u))
-        rhs = u + lam * h_u
+        rhs = u + lam_h_u
         if problem.forcing is not None:
             f = problem.forcing_values(eps, t_half)
             rhs = rhs + dt * f
@@ -424,10 +441,11 @@ def solve(
             raise SolverError(
                 f"GMRES did not converge in {its} iterations at step {m} (eps={eps})"
             )
-        # H u_new serves the residual and, while H is unchanged, the next R u
+        # lam H u_new serves the residual and, while H is unchanged, the next R u
         h_u = op.apply(new)
-        rhs_norm = np.linalg.norm(rhs)
-        resid = np.linalg.norm(new - lam * h_u - rhs) / (rhs_norm if rhs_norm else 1.0)
+        lam_h_u = lam * h_u
+        rhs_norm = _norm(rhs)
+        resid = _norm(new - lam_h_u - rhs) / (rhs_norm if rhs_norm else 1.0)
         residuals.append(float(resid))
         if not resid <= LINEAR_RESIDUAL_TOL:
             raise SolverError(

@@ -78,6 +78,22 @@ class TestFreeEvolve:
         else:
             assert np.max(np.abs(out - ref)) <= rtol * np.max(np.abs(ref))
 
+    @pytest.mark.parametrize("dim, points", [(1, 131072), (1, 256), (2, 256), (2, 64)])
+    @pytest.mark.parametrize("t", [0.25, 0.3, 1.0, -0.5])
+    @pytest.mark.parametrize("complex_data", [False, True])
+    def test_half_spectrum_phases_are_bitwise_the_full_ones(self, dim, points, t, complex_data):
+        # the per-axis form that exponentiates all M wavenumbers of each axis
+        grid = SpatialGrid(dim, 8.0, points)
+        rng = np.random.default_rng(points + dim)
+        values = rng.standard_normal(grid.shape)
+        if complex_data:
+            values = values + 1j * rng.standard_normal(grid.shape)
+        F = np.fft.fftn(values)
+        for xi in np.ix_(*grid.wavenumbers()):
+            np.multiply(np.exp(-1j * t * xi**2), F, out=F)
+        out = free_evolve(GridFunction(grid, values), t).values
+        assert out.tobytes() == np.fft.ifftn(F).tobytes()
+
     @given(t1=st.floats(-1, 1), t2=st.floats(-1, 1), seed=st.integers(0, 10**6))
     @settings(max_examples=15, deadline=None)
     def test_group_law_random_states(self, t1, t2, seed):

@@ -1,6 +1,7 @@
 """Every name a package module imports is used in that module, the
-package's own modules are imported at module top, and every raise follows
-the package's one error rule.
+package's own modules are imported at module top, every raise follows
+the package's one error rule, and the heavy scipy subpackages load only
+on the paths that use them.
 
 Parses each module of src/regnets except the package's __init__ (whose
 imports are its public re-exports) and fails on any imported name that the
@@ -9,6 +10,8 @@ function body. Standard library only.
 """
 
 import ast
+import subprocess
+import sys
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "regnets"
@@ -108,3 +111,32 @@ def test_every_raise_is_an_input_error_or_a_computation_failure():
     assert len(raises) == sum(line.startswith("raise ") for line in lines)
     stray = [r for r in raises if r[2] not in allowed and r not in PROTOCOL_RAISES]
     assert stray == []
+
+
+
+# Loaded on first use only: the DCT of vague_convergence_check, the
+# quadrature oracle, the sparse test references and the 2-D Krylov backend.
+DEFERRED = ("scipy.fft", "scipy.integrate", "scipy.sparse", "scipy.sparse.linalg")
+
+_COLD_RUN = """
+import sys
+sys.path.insert(0, sys.argv[1])
+import numpy as np
+import regnets as rn
+import regnets.cli
+grid = rn.SpatialGrid(1, 4.0, 64)
+g = rn.GridFunction.from_profile(grid, lambda x: np.exp(-x**2))
+net = rn.CoefficientNet(c=[rn.constant_coefficient(1.0)], V=None, c0=1.0)
+rn.solve(rn.CauchyProblem(grid, net, lambda e: g, None, T=0.1, time_steps=5), 1.0)
+rn.scaled_mollifier(rn.MollifierSpec(dim=1, exponent=4.0), 1.0, grid)
+print(" ".join(sorted(sys.modules)))
+"""
+
+
+def test_a_1d_solve_loads_no_deferred_scipy_subpackage():
+    out = subprocess.run(
+        [sys.executable, "-c", _COLD_RUN, str(SRC.parent)], capture_output=True, text=True, check=True
+    )
+    loaded = set(out.stdout.split())
+    assert "regnets.solver" in loaded
+    assert [m for m in DEFERRED if m in loaded] == []

@@ -39,7 +39,7 @@ from regnets import (
     spatial_coefficient,
     uniqueness_probe,
 )
-from regnets.solver import _cn_matrices
+from regnets.solver import _cn_matrices, _norm
 
 
 def _free_net(c0=1.0):
@@ -272,6 +272,12 @@ class TestFluxFormOperator:
 
 
 class TestCrankNicolson:
+    @pytest.mark.parametrize("shape", [(1024,), (64, 64)])
+    def test_residual_norm_is_bitwise_numpys(self, shape):
+        rng = np.random.default_rng(7)
+        x = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        assert _norm(x) == np.linalg.norm(x)
+
     def test_constant_potential_phase(self):
         # c = 0-free part impossible (c0 > 0), so use V only on near-constant
         # data: with u0 = const the laplacian term vanishes and
@@ -503,14 +509,13 @@ class TestCrankNicolson:
             solve(problem, 1.0, record_norms=False)
 
     def test_krylov_that_stops_short_raises_solver_error(self, monkeypatch):
-        import regnets.solver
-
         def stalled_gmres(A, b, x0=None, callback=None, **kwargs):
             for _ in range(7):
                 callback(1e-3)
             return x0.copy(), 7
 
-        monkeypatch.setattr(regnets.solver.spla, "gmres", stalled_gmres)
+        # the Krylov backend imports scipy.sparse.linalg and looks gmres up at call time
+        monkeypatch.setattr(scipy.sparse.linalg, "gmres", stalled_gmres)
         with pytest.raises(SolverError, match=r"GMRES did not converge in 7 iterations at step 0 \(eps=0.015625\)"):
             solve(_backend_case("2d_jump"), 1.0 / 64)
 
