@@ -10,10 +10,6 @@ from .asymptotics import (
 from .errors import (
     RegnetsError,
     InputError,
-    ResolutionError,
-    BoxTooSmallError,
-    SolverError,
-    ReferenceError_,
     ConfigError,
 )
 from .free import (

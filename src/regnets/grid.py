@@ -16,7 +16,7 @@ from itertools import product
 
 import numpy as np
 
-from .errors import BoxTooSmallError, InputError, ResolutionError
+from .errors import InputError
 
 MAX_SOBOLEV_ORDER = 4
 
@@ -80,16 +80,15 @@ class SpatialGrid:
         return (xi,) * self.dim
 
     def require_resolves(self, scale: float):
-        """Raise ResolutionError unless spacing <= scale / 8."""
+        """Raise InputError, naming the points needed, unless spacing <= scale / 8."""
         if self.spacing > scale / 8.0 + 1e-15:
             needed = 2.0 * self.half_width * 8.0 / scale
             m_min = 8
             while m_min < needed:
                 m_min *= 2
-            raise ResolutionError(
+            raise InputError(
                 f"grid spacing {self.spacing:.3g} exceeds {scale:.3g}/8; "
-                f"need points_per_axis >= {m_min} at half_width {self.half_width:g}",
-                required_points=m_min,
+                f"need points_per_axis >= {m_min} at half_width {self.half_width:g}"
             )
 
 
@@ -226,11 +225,13 @@ def _catalog_entry(
 ) -> TestFunction:
     """Sample a catalog test function: a bump of radius width at center (see
     _point), times factor(x_1 - c_1) when factor is given. The box must
-    exceed max|center| + width, else BoxTooSmallError."""
+    exceed max|center| + width, else InputError naming that half-width."""
     center = _point(center, grid.dim)
     reach = float(np.max(np.abs(center))) + width
     if reach >= grid.half_width:
-        raise BoxTooSmallError("bump support reaches the box boundary", required_half_width=reach)
+        raise InputError(
+            f"bump support reaches the box boundary: half_width must exceed {reach:g}"
+        )
     base = _bump_profile(center, width)
     if factor is None:
         profile = base

@@ -13,7 +13,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .asymptotics import EpsGrid, loglog_fit
-from .errors import ReferenceError_
+from .errors import InputError, RegnetsError
 from .grid import (
     GridFunction,
     SpatialGrid,
@@ -66,11 +66,13 @@ def coherence_experiment(
 
     The reference is the same scheme run with unmollified data; its validity
     is certified by a self-convergence check against a (2M, 2Nt) run, which
-    must agree to reference_tol / 10 in sup-t H1, else ReferenceError. Per
+    must agree to reference_tol / 10 in sup-t H1, else RegnetsError. Per
     eps the data are mollified in x and the larger H1 difference at the
     snapshot times T/2 and T is recorded; monotone decay, the final
-    difference and the fitted eps-rate form the verdict. Precondition: coeffs
-    must not depend on eps, since the reference and certificate use eps = 1.
+    difference and the fitted eps-rate form the verdict. The reference and
+    certificate use eps = 1, so coeffs must not depend on eps: before any
+    solve, a c_k or V that differs from its eps = 1 field at some eps of the
+    sweep raises InputError (see _require_eps_independent).
     """
     snapshot_times = [T / 2.0, T]
     reference = CauchyProblem(
@@ -98,6 +100,8 @@ def coherence_experiment(
         ).values,
     )
 
+    _require_eps_independent(coeffs, eps_grid, grid, reference.dt, time_steps)
+
     def snapshots(problem, eps):
         return solve(problem, eps, snapshot_times=snapshot_times, record_norms=False).snapshots
 
@@ -105,7 +109,7 @@ def coherence_experiment(
     ref_fine = snapshots(certificate, 1.0)
     gap = max(norm_hk(_restrict(ref_fine[t], grid) - ref[t], 1) for t in snapshot_times)
     if gap > reference_tol / 10.0:
-        raise ReferenceError_(
+        raise RegnetsError(
             f"reference self-convergence gap {gap:.3e} exceeds {reference_tol / 10.0:.3e}; "
             "refine the reference resolution"
         )
@@ -125,6 +129,28 @@ def coherence_experiment(
         first_order=slope >= 0.9,
         reference_gap=gap,
     )
+
+
+def _require_eps_independent(
+    coeffs: CoefficientNet, eps_grid: EpsGrid, grid: SpatialGrid, dt: float, time_steps: int
+):
+    """InputError unless every c_k and V equals its eps = 1 field at every eps.
+
+    The fields are compared exactly at the half-step times the mollified
+    solves read: the first one for a field declared static, every one of the
+    time_steps otherwise.
+    """
+    fields = {**{f"c_{k}": c for k, c in enumerate(coeffs.c)}, "V": coeffs.V}
+    for name, c in fields.items():
+        for m in range(1 if c.dt_evaluate is None else time_steps):
+            t = (m + 0.5) * dt
+            at_one = c.evaluate(1.0, t, grid)
+            for eps in eps_grid:
+                if not np.array_equal(c.evaluate(eps, t, grid), at_one):
+                    raise InputError(
+                        f"coherence needs eps-independent coefficients: {name} at "
+                        f"(eps={eps:g}, t={t:g}) differs from its eps=1 field"
+                    )
 
 
 def _spectral_prolong(u: GridFunction, fine_grid: SpatialGrid) -> GridFunction:
@@ -176,4 +202,4 @@ def association_of_solution(
                 "cauchy": avg_ratio >= 1.5,
             }
         )
-    return {"tests": per_test, "all_cauchy": all(p["cauchy"] for p in per_test)}
+    return {"tests": per_test}

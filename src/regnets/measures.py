@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .asymptotics import EpsGrid, EpsNet, _require_eps, loglog_fit
-from .errors import BoxTooSmallError, InputError, RegnetsError
+from .errors import InputError, RegnetsError
 from .grid import GridFunction, SpatialGrid, TestFunction, _point, _support_box, pair, periodic_convolve
 from .mollifiers import MollifierSpec, _sample_scaled
 
@@ -255,10 +255,7 @@ def cutoff_sqrt(
     j = CutoffFamily.j_of_eps(eps)
     support = 2.0 ** (j + 1)
     if grid.half_width < support:
-        raise BoxTooSmallError(
-            f"box half_width {grid.half_width} < cutoff support radius {support}",
-            required_half_width=support,
-        )
+        raise InputError(f"box half_width {grid.half_width} < cutoff support radius {support}")
     phi = sqrt_root(mollify_measure(mu, spec, eps, grid))
     g = GridFunction(grid, chi.chi_j(j, grid).values * phi.values)
     return g, j

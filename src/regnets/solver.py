@@ -23,7 +23,7 @@ import numpy as np
 from scipy.linalg import lapack
 
 from .asymptotics import EpsGrid, EpsNet, check_log_type, loglog_fit
-from .errors import InputError, SolverError
+from .errors import InputError, RegnetsError
 from .grid import GridFunction, SpatialGrid, _l2_norm, _parseval_norm, _sobolev_weights
 
 LINEAR_RESIDUAL_TOL = 1e-10
@@ -381,7 +381,7 @@ def solve(
     Each step solves S u_new = R u + dt f with S, R = I -/+ i(dt/2)H by the
     backend _cn_solver picks for the step's operator. R u and the relative
     residual ||S u_new - rhs|| / ||rhs|| are computed matrix-free; every
-    step's residual is recorded and must meet 1e-10, else SolverError, as
+    step's residual is recorded and must meet 1e-10, else RegnetsError, as
     is a Krylov solve that stops short of its tolerance. Norm rows also
     record the inner products energy_audit reads (SolveResult fields).
     """
@@ -438,7 +438,7 @@ def solve(
         new, its, info = solve_step(rhs)
         iterations += its
         if info:
-            raise SolverError(
+            raise RegnetsError(
                 f"GMRES did not converge in {its} iterations at step {m} (eps={eps})"
             )
         # lam H u_new serves the residual and, while H is unchanged, the next R u
@@ -448,7 +448,7 @@ def solve(
         resid = _norm(new - lam_h_u - rhs) / (rhs_norm if rhs_norm else 1.0)
         residuals.append(float(resid))
         if not resid <= LINEAR_RESIDUAL_TOL:
-            raise SolverError(
+            raise RegnetsError(
                 f"linear solve residual {resid:.3e} above {LINEAR_RESIDUAL_TOL} "
                 f"at step {m} (eps={eps})"
             )

@@ -115,7 +115,11 @@ class TestParseConfig:
         assert exc.value.line == 1
 
     def test_unknown_key(self, tmp_path):
-        for text, line in [("experiment = selftest\nwidth = 3\n", 2), (SWEEP + "potential = 0.3\n", 9)]:
+        for text, line in [
+            ("experiment = selftest\nwidth = 3\n", 2),
+            (SWEEP + "potential = 0.3\n", 9),
+            (SQRT_MEASURE + "association_tol = 0.5\n", 7),
+        ]:
             path = _write(tmp_path, text)
             with pytest.raises(ConfigError, match="unknown key") as exc:
                 parse_config(path)
@@ -213,8 +217,11 @@ class TestRun:
         assert rows and all(r[1] == "1" for r in rows)
         manifest = io.read_manifest(out / "manifest.txt")
         assert manifest["experiment"] == "selftest"
-        assert "seed" not in manifest
-        assert manifest["n_failed"] == "0"
+        # no seed (nothing is random) and no check counts (checks.csv has them)
+        assert set(manifest) == {
+            "created", "regnets_version", "numpy_version", "scipy_version",
+            "experiment", "elapsed_seconds",
+        }
         assert "[PASS] selftest" in capsys.readouterr().out
         # checks.csv is the only checks table
         assert sorted(f.name for f in out.iterdir()) == ["checks.csv", "config.txt", "manifest.txt"]
@@ -409,7 +416,7 @@ class TestRun:
 
     def test_library_failure_that_is_not_input_exits_1(self, tmp_path, capsys):
         # the reference solution cannot meet a 1e-12 self-convergence gap at
-        # 128 points: ReferenceError_ is a run failure, not unusable input
+        # 128 points: a failed self-check is a run failure, not unusable input
         out = tmp_path / "res"
         assert run(_write(tmp_path, COHERENCE + "tolerance = 1e-12\n"), out_dir=out) == 1
         assert "run failed: reference self-convergence gap" in capsys.readouterr().err

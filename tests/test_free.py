@@ -12,7 +12,6 @@ from regnets import (
     MollifierSpec,
     ProbabilityDensitySnapshot,
     RegnetsError,
-    ResolutionError,
     SpatialGrid,
     bump,
     cross_validate_cn,
@@ -250,7 +249,7 @@ class TestVagueConvergence:
         "case, error",
         [
             ("eps_above_one", InputError),
-            ("under_resolved", ResolutionError),
+            ("under_resolved", InputError),
             ("sqrt_not_integrable", InputError),
             ("non_finite_samples", InputError),
             ("psi_on_other_grid", InputError),

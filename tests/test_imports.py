@@ -102,8 +102,8 @@ def _raises(path):
 
 def test_every_raise_is_an_input_error_or_a_computation_failure():
     # InputError and its subclasses: input the caller can fix (CLI exit 2);
-    # the other three: a computation that failed its own check (exit 1)
-    allowed = _input_error_classes() | {"SolverError", "ReferenceError_", "RegnetsError"}
+    # plain RegnetsError: a computation that failed its own check (exit 1)
+    allowed = _input_error_classes() | {"RegnetsError"}
     modules = sorted(SRC.glob("*.py"))
     raises = [(path.name, scope, name) for path in modules for scope, name in _raises(path)]
     # the walker sees every line that starts a raise statement

@@ -5,16 +5,20 @@ import pytest
 
 from regnets import (
     CauchyProblem,
+    Coefficient,
     CoefficientNet,
     EpsGrid,
     GridFunction,
+    InputError,
     MollifierSpec,
-    ReferenceError_,
+    RegnetsError,
     SpatialGrid,
     bump,
     constant_coefficient,
     free_evolve,
     linear_bump,
+    log_time_coefficient,
+    power_time_coefficient,
     mollify_gridfunction,
     norm_hk,
     pair,
@@ -93,11 +97,12 @@ class TestCoherence:
             grid, lambda x: np.exp(-(x**2)) * np.cos(12.0 * x)
         )
         eg = EpsGrid([0.5, 0.42, 0.35, 0.3, 0.27, 0.25])
-        with pytest.raises(ReferenceError_):
+        with pytest.raises(RegnetsError, match="reference self-convergence gap") as exc:
             coherence_experiment(
                 grid, _const_net(), g0, None, SPEC, eg, T=0.5, time_steps=25,
                 reference_tol=1e-4,
             )
+        assert not isinstance(exc.value, InputError)
 
     def test_variable_coefficient_enters_the_gaps(self):
         # with constant c the CN step is unitary in H1, so each gap equals
@@ -116,6 +121,49 @@ class TestCoherence:
         assert result.monotone and result.first_order and result.final_below_tol
         data_gaps = [norm_hk(mollify_gridfunction(g0, SPEC, e) - g0, 1) for e in eg]
         assert max(abs(d / m - 1.0) for d, m in zip(result.h1_sup_diffs, data_gaps)) > 0.01
+
+    def test_eps_dependent_coefficient_is_rejected(self):
+        # the reference is solved at eps = 1, so a log-time net would be judged
+        # against the solution for its eps = 1 coefficients
+        grid = SpatialGrid(1, 4.0, 4096)
+        g0 = GridFunction.from_profile(grid, lambda x: np.exp(-(x**2)))
+        coeffs = CoefficientNet(
+            c=(log_time_coefficient(1.0, lambda x: 0.1 * np.cos(np.pi * x / 4.0)),),
+            V=None, c0=0.5,
+        )
+        eg = EpsGrid([0.25, 0.177, 0.125, 0.088, 0.0625, 0.0442, 0.03125, 0.0221, 0.015625])
+        with pytest.raises(InputError, match=r"c_0 at \(eps=0.25, t=0.00025\)"):
+            coherence_experiment(grid, coeffs, g0, None, SPEC, eg, T=0.1, time_steps=200)
+
+    def test_every_half_step_is_compared(self):
+        # equal to its eps = 1 field before T/2, eps-dependent after
+        T, steps = 0.1, 10
+        late = Coefficient(
+            evaluate=lambda eps, t, grid: np.full(grid.shape, 1.0 + (t > T / 2) * (1.0 - eps)),
+            dt_evaluate=lambda eps, t, grid: np.zeros(grid.shape),
+        )
+        grid = SpatialGrid(1, 8.0, 2048)
+        g0 = GridFunction.from_profile(grid, lambda x: np.exp(-(x**2)))
+        eg = EpsGrid([0.5, 0.42, 0.35, 0.3, 0.27, 0.25])
+        with pytest.raises(InputError, match=r"c_0 at \(eps=0.5, t=0.055\)"):
+            coherence_experiment(
+                grid, CoefficientNet(c=(late,), V=None, c0=1.0), g0, None, SPEC, eg, T, steps
+            )
+
+    def test_time_dependent_eps_independent_coefficient_runs(self):
+        # eps^0 = 1: c = 1 + t * s(x) changes every step but not with eps
+        grid = SpatialGrid(1, 4.0, 2048)
+        g0 = GridFunction.from_profile(grid, lambda x: np.exp(-(x**2)))
+        coeffs = CoefficientNet(
+            c=(power_time_coefficient(1.0, lambda x: 0.5 * np.exp(-(x**2)), power=0.0),),
+            V=None, c0=1.0,
+        )
+        eg = EpsGrid([0.25, 0.177, 0.125, 0.088, 0.0625, 0.0442])
+        result = coherence_experiment(
+            grid, coeffs, g0, None, SPEC, eg, T=0.1, time_steps=50, reference_tol=1e-3,
+        )
+        assert result.monotone and result.first_order
+        assert result.reference_gap < 1e-4
 
     def test_forcing_is_mollified_too(self):
         grid = SpatialGrid(1, 8.0, 4096)
@@ -151,7 +199,7 @@ class TestAssociationOfSolution:
         eg = EpsGrid([0.25, 0.125, 0.0625, 0.03125, 0.015625, 0.0078125])
         psi = bump(grid, 0.0, 1.0)
         rep = association_of_solution(self._dirac_problem(grid, steps=400), eg, [psi], 0.2)
-        assert rep["all_cauchy"]
+        assert all(p["cauchy"] for p in rep["tests"])
         oracle = pair(free_evolve(scaled_mollifier(SPEC, eg.values[-1], grid), 0.2), psi)
         measured = rep["tests"][0]["pairings"][-1]
         assert abs(measured - oracle) < 5e-3
@@ -162,7 +210,7 @@ class TestAssociationOfSolution:
         rep = association_of_solution(
             self._dirac_problem(grid), eg, [linear_bump(grid, 0.0, 1.5)], 0.2
         )
-        assert rep["all_cauchy"]
+        assert all(p["cauchy"] for p in rep["tests"])
         assert max(abs(v) for v in rep["tests"][0]["pairings"]) < 1e-10
 
     def test_sqrt_delta_dichotomy(self):

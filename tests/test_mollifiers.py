@@ -7,9 +7,9 @@ from hypothesis import strategies as st
 from scipy.integrate import dblquad, quad
 
 from regnets import (
+    InputError,
     MollifierSpec,
     RegnetsError,
-    ResolutionError,
     SpatialGrid,
     cauchy_power_normalization,
     sampled_mass,
@@ -86,7 +86,7 @@ class TestMollifierSpec:
         spec = MollifierSpec(dim=1, exponent=4.0)
         grid = SpatialGrid(1, 4.0, 64)
         for sample in (scaled_mollifier, sqrt_delta_data):
-            with pytest.raises(ResolutionError, match="need points_per_axis >= 8192"):
+            with pytest.raises(InputError, match="need points_per_axis >= 8192"):
                 sample(spec, 0.01, grid)
 
     def test_eps_range_guard(self):
