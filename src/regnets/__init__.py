@@ -17,7 +17,6 @@ from .free import (
     sqrt_delta_data,
     ProbabilityDensitySnapshot,
     mass_check,
-    dispersive_bound_check,
     vague_convergence_check,
     cross_validate_cn,
 )

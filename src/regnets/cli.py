@@ -2,12 +2,12 @@
 
 Configs are flat key = value text files (read by io, like manifests), one
 experiment per file, validated against a typed schema (dim in {1, 2},
-points_per_axis a power of two >= 8, half_width, T and coefficient_base > 0,
-time_steps >= 1, typed atom lists, enumerated keys) before anything runs; the
-library checks the rest of the input. Nothing in a run is random. A run that
-finishes writes a results directory containing a copy of the config, the
-experiment's CSV tables, checks.csv and a manifest recording versions and
-timings; a run that fails writes none.
+points_per_axis a power of two >= 8, half_width and T > 0, time_steps >= 1,
+typed atom lists, enumerated keys) before anything runs; the library checks
+the rest of the input. Nothing in a run is random. A finished run replaces
+an earlier run's config.txt, manifest.txt and CSV files in its results
+directory by a copy of the config, its CSV tables, checks.csv and a
+manifest recording versions and timings; a failed run writes and removes none.
 Each checks.csv row reads the verdict of the library function that computes
 the judged quantity (README, Verdicts); only selftest compares values itself.
 Exit codes: 0 all checks pass, 2 unusable input (any InputError, from the
@@ -20,7 +20,6 @@ is empty or has a row without exactly three fields; 1 when a check failed.
 from __future__ import annotations
 
 import argparse
-import shutil
 import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -126,7 +125,6 @@ _SCHEMAS = {
     "schrodinger_sweep": {
         **_GRID_SCHEMA,
         "coefficient_family": (("constant", "log_time", "jump"), True, None),
-        "coefficient_base": ("positive", False, 1.0),
         "data": (("dirac", "bump"), False, "dirac"),
         "T": ("positive", True, None),
         "time_steps": ("count", True, None),
@@ -138,15 +136,12 @@ _SCHEMAS = {
     },
     "coherence": {
         **_GRID_SCHEMA,
-        "coefficient_base": ("positive", False, 1.0),
-        "data": (("gaussian", "bump"), False, "gaussian"),
         "T": ("positive", True, None),
         "time_steps": ("count", True, None),
         "tolerance": ("float", False, 1e-3),
     },
     "association": {
         **_GRID_SCHEMA,
-        "coefficient_base": ("positive", False, 1.0),
         "T": ("positive", True, None),
         "time_steps": ("count", True, None),
         "snapshot_time": ("float", True, None),
@@ -291,14 +286,13 @@ def _run_sqrt_measure(config, workers):
 
 def _coefficient_net(config, grid):
     family = config.get("coefficient_family", "constant")
-    base = config["coefficient_base"]
     if family == "log_time":
-        c = log_time_coefficient(base, lambda x, *_: 0.1 * np.cos(np.pi * x / grid.half_width))
+        c = log_time_coefficient(1.0, lambda x, *_: 0.1 * np.cos(np.pi * x / grid.half_width))
     elif family == "jump":
-        c = mollified_jump_coefficient(base, 2.0 * base, 0.0)
+        c = mollified_jump_coefficient(1.0, 2.0, 0.0)
     else:
-        c = constant_coefficient(base)
-    return CoefficientNet(c=(c,) * grid.dim, V=None, c0=0.5 * base)
+        c = constant_coefficient(1.0)
+    return CoefficientNet(c=(c,) * grid.dim, V=None, c0=0.5)
 
 
 def _run_schrodinger_sweep(config, workers):
@@ -390,12 +384,7 @@ def _run_free_example(config, workers):
 def _run_coherence(config, workers):
     grid, spec = _grid_and_spec(config)
     coeffs = _coefficient_net(config, grid)
-    if config["data"] == "gaussian":
-        g0 = GridFunction.from_profile(
-            grid, lambda *c: np.exp(-sum(x**2 for x in c))
-        )
-    else:
-        g0 = bump(grid, 0.0, 1.0).gridfunc
+    g0 = GridFunction.from_profile(grid, lambda *c: np.exp(-sum(x**2 for x in c)))
     result = coherence_experiment(
         grid, coeffs, g0, None, spec, config["eps_grid"],
         T=config["T"], time_steps=config["time_steps"],
@@ -459,6 +448,7 @@ def run(config_path, out_dir=None, workers: int = 1) -> int:
         if not (isinstance(workers, int) and workers >= 1):
             raise ConfigError(f"workers must be a positive integer, got {workers!r}")
         config = parse_config(config_path)
+        config_text = Path(config_path).read_bytes()  # the config may be out/config.txt
         name = config["experiment"]
         out = Path(out_dir) if out_dir else Path(f"results_{name}")
         if out.exists() and not out.is_dir():
@@ -475,8 +465,11 @@ def run(config_path, out_dir=None, workers: int = 1) -> int:
     elapsed = time.perf_counter() - t0
 
     try:
+        if (out / "manifest.txt").exists():
+            for stale in [out / "config.txt", out / "manifest.txt", *out.glob("*.csv")]:
+                stale.unlink(missing_ok=True)
         out.mkdir(parents=True, exist_ok=True)
-        shutil.copy(config_path, out / "config.txt")
+        (out / "config.txt").write_bytes(config_text)
         for fname, (header, rows) in tables.items():
             io.write_csv(out / fname, header, rows)
         io.write_csv(

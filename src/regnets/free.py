@@ -31,7 +31,6 @@ from .grid import (
     TestFunction,
     _check_same_grid,
     norm_l2,
-    norm_linf,
 )
 from .mollifiers import MollifierSpec, _sample_scaled
 from .solver import CauchyProblem, CoefficientNet, constant_coefficient, solve
@@ -66,18 +65,16 @@ def sqrt_delta_data(spec: MollifierSpec, eps: float, grid: SpatialGrid) -> GridF
 
 @dataclass(frozen=True)
 class ProbabilityDensitySnapshot:
-    """|u_eps(t, .)|^2 on the grid, with its recorded mass."""
+    """The mass of |u_eps(t, .)|^2 on the grid."""
 
     t: float
     eps: float
-    density: GridFunction
     mass: float
 
     @classmethod
     def from_state(cls, u: GridFunction, t: float, eps: float):
-        dens = u.abs2()
-        mass = float(u.grid.cell_volume * np.sum(dens.values))
-        return cls(t=t, eps=eps, density=dens, mass=mass)
+        mass = float(u.grid.cell_volume * np.sum(np.abs(u.values) ** 2))
+        return cls(t=t, eps=eps, mass=mass)
 
 
 _MASS_TOL = 1e-8
@@ -94,6 +91,7 @@ def mass_check(snapshot: ProbabilityDensitySnapshot, tol: float = _MASS_TOL) -> 
 
 
 def _dispersive_bound(measured: float, spec: MollifierSpec, eps: float, t: float) -> dict:
+    """Measured sup norm against ||sqrt(rho_eps)||_L1 / (4 pi |t|)^(n/2)."""
     if t == 0.0:
         raise InputError("dispersive bound is vacuous at t = 0")
     n = spec.dim
@@ -105,13 +103,6 @@ def _dispersive_bound(measured: float, spec: MollifierSpec, eps: float, t: float
         "ratio": measured / bound,
         "passes": measured <= bound,
     }
-
-
-def dispersive_bound_check(
-    u_t: GridFunction, spec: MollifierSpec, eps: float, t: float
-) -> dict:
-    """Measured sup norm against ||sqrt(rho_eps)||_L1 / (4 pi |t|)^(n/2)."""
-    return _dispersive_bound(norm_linf(u_t), spec, eps, t)
 
 
 def _fold(values: np.ndarray, plus: np.ndarray, minus: np.ndarray) -> np.ndarray:

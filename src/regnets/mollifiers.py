@@ -14,10 +14,10 @@ values. Each violation raises InputError.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gamma
 
 from .asymptotics import _require_eps
 from .errors import InputError
@@ -28,7 +28,8 @@ def cauchy_power_normalization(n: int, m: float) -> float:
     """c with integral of c (1+|x|^2)^(-m/2) over R^n equal to 1 (m > n)."""
     if m <= n:
         raise InputError(f"exponent m={m} must exceed dimension n={n}")
-    return gamma(m / 2.0) / (np.pi ** (n / 2.0) * gamma((m - n) / 2.0))
+    # each Gamma overflows from m = 344 on, their quotient does not
+    return math.exp(math.lgamma(m / 2.0) - math.lgamma((m - n) / 2.0)) / np.pi ** (n / 2.0)
 
 
 @dataclass(frozen=True)
@@ -83,7 +84,8 @@ class MollifierSpec:
         """
         self.require_integrable(0.5)
         n, s = self.dim, self.m / 4.0
-        return float(np.sqrt(self.normalization) * np.pi ** (n / 2.0) * gamma(s - n / 2.0) / gamma(s))
+        ratio = math.exp(math.lgamma(s - n / 2.0) - math.lgamma(s))
+        return float(np.sqrt(self.normalization) * np.pi ** (n / 2.0) * ratio)
 
 
 def _sample_scaled(

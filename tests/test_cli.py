@@ -77,7 +77,6 @@ class TestParseConfig:
         cfg = parse_config(_write(tmp_path, COHERENCE))
         assert cfg["experiment"] == "coherence"
         assert cfg["points_per_axis"] == 128
-        assert cfg["data"] == "gaussian"
         assert cfg["tolerance"] == 1e-3
 
     def test_comments_and_blank_lines_ignored(self, tmp_path):
@@ -119,6 +118,7 @@ class TestParseConfig:
             ("experiment = selftest\nwidth = 3\n", 2),
             (SWEEP + "potential = 0.3\n", 9),
             (SQRT_MEASURE + "association_tol = 0.5\n", 7),
+            (COHERENCE + "data = dirac\n", 8),
         ]:
             path = _write(tmp_path, text)
             with pytest.raises(ConfigError, match="unknown key") as exc:
@@ -226,6 +226,20 @@ class TestRun:
         # checks.csv is the only checks table
         assert sorted(f.name for f in out.iterdir()) == ["checks.csv", "config.txt", "manifest.txt"]
 
+    def test_results_directory_holds_one_run(self, tmp_path):
+        out = tmp_path / "res"
+        assert run(_write(tmp_path, PASSING["sqrt_measure"], name="sqrt.txt"), out_dir=out) == 0
+        (out / "notes.txt").write_text("kept\n")
+        # a run that exits 2 writes and removes nothing
+        assert run(_write(tmp_path, "experiment = selftest\nwidth = 3\n", name="bad.txt"), out_dir=out) == 2
+        assert (out / "sqrt_measure.csv").exists()
+        assert run(_write(tmp_path, SELFTEST), out_dir=out) == 0
+        assert sorted(f.name for f in out.iterdir()) == ["checks.csv", "config.txt", "manifest.txt", "notes.txt"]
+        assert io.read_manifest(out / "manifest.txt")["experiment"] == "selftest"
+        # rerunning the copied config into its own directory keeps it
+        assert run(out / "config.txt", out_dir=out) == 0
+        assert (out / "config.txt").read_text() == SELFTEST
+
     def test_schema_violation_exits_2(self, tmp_path, capsys):
         path = _write(tmp_path, "experiment = free_example\ndim = two\n")
         assert run(path, out_dir=tmp_path / "res") == 2
@@ -236,7 +250,6 @@ class TestRun:
         [
             (SWEEP.replace("coefficient_family = constant", "coefficient_family = wobbly"), 5),
             (SWEEP + "data = gaussian\n", 9),
-            (COHERENCE + "data = dirac\n", 8),
             (SQRT_MEASURE + "density = triangle\n", 7),
             (SQRT_MEASURE.replace("dim = 1", "dim = 3"), 2),
             (SQRT_MEASURE.replace("atoms = 0:1", "atoms = 0.5"), 6),
@@ -247,13 +260,10 @@ class TestRun:
             (SWEEP.replace("time_steps = 10", "time_steps = -5"), 8),
             (COHERENCE.replace("T = 0.1", "T = 0"), 6),
             (COHERENCE.replace("T = 0.1", "T = -0.1"), 6),
-            (SWEEP + "coefficient_base = 0\n", 9),
-            (SWEEP + "coefficient_base = -1\n", 9),
         ],
-        ids=["coefficient_family", "sweep_data", "coherence_data", "density",
+        ids=["coefficient_family", "sweep_data", "density",
              "dim", "atom_without_weight", "atom_not_a_number", "points_per_axis", "half_width",
-             "zero_time_steps", "negative_time_steps", "zero_T", "negative_T",
-             "zero_coefficient_base", "negative_coefficient_base"],
+             "zero_time_steps", "negative_time_steps", "zero_T", "negative_T"],
     )
     def test_value_outside_enumeration_exits_2(self, tmp_path, capsys, text, bad_line):
         out = tmp_path / "res"
@@ -395,9 +405,9 @@ class TestRun:
             SQRT_MEASURE.replace("half_width = 4", "half_width = 1").replace(
                 "points_per_axis = 128", "points_per_axis = 1024"),
             PASSING["free_example"].replace("half_width = 64", "half_width = 1"),
-            COHERENCE.replace("half_width = 4", "half_width = 0.9") + "data = bump\n",
+            SWEEP.replace("half_width = 4", "half_width = 0.9") + "data = bump\n",
         ],
-        ids=["sqrt_measure", "free_example", "coherence_bump"],
+        ids=["sqrt_measure", "free_example", "sweep_bump"],
     )
     def test_box_too_small_for_the_test_functions_exits_2(self, tmp_path, capsys, text):
         # the experiment's own bumps of radius 1 at the origin need half_width > 1

@@ -15,7 +15,6 @@ from regnets import (
     SpatialGrid,
     bump,
     cross_validate_cn,
-    dispersive_bound_check,
     free_evolve,
     linear_bump,
     loglog_fit,
@@ -28,6 +27,7 @@ from regnets import (
     sqrt_delta_data,
     vague_convergence_check,
 )
+from regnets.free import _dispersive_bound
 
 
 class TestFreeEvolve:
@@ -144,18 +144,18 @@ class TestDispersiveBound:
         grid = SpatialGrid(1, 256.0, 131072)
         eps, t = 0.0625, 1.0
         u = free_evolve(sqrt_delta_data(spec, eps, grid), t)
-        rep = dispersive_bound_check(u, spec, eps, t)
+        rep = _dispersive_bound(norm_linf(u), spec, eps, t)
         assert rep["passes"]
         assert rep["ratio"] > 0.9  # asymptotically saturated as eps -> 0
 
     def test_bound_scales_with_time(self):
         spec = MollifierSpec(dim=1, exponent=6.0)
         grid = SpatialGrid(1, 256.0, 131072)
-        r1 = dispersive_bound_check(
-            free_evolve(sqrt_delta_data(spec, 0.125, grid), 0.5), spec, 0.125, 0.5
+        r1 = _dispersive_bound(
+            norm_linf(free_evolve(sqrt_delta_data(spec, 0.125, grid), 0.5)), spec, 0.125, 0.5
         )
-        r2 = dispersive_bound_check(
-            free_evolve(sqrt_delta_data(spec, 0.125, grid), 2.0), spec, 0.125, 2.0
+        r2 = _dispersive_bound(
+            norm_linf(free_evolve(sqrt_delta_data(spec, 0.125, grid), 2.0)), spec, 0.125, 2.0
         )
         assert r2["bound"] == pytest.approx(r1["bound"] / 2.0, rel=1e-12)
 
@@ -164,7 +164,7 @@ class TestDispersiveBound:
         grid = SpatialGrid(1, 8.0, 1024)
         u0 = sqrt_delta_data(spec, 0.25, grid)
         with pytest.raises(RegnetsError):
-            dispersive_bound_check(u0, spec, 0.25, 0.0)
+            _dispersive_bound(norm_linf(u0), spec, 0.25, 0.0)
 
 
 class TestVagueConvergence:
@@ -218,11 +218,11 @@ class TestVagueConvergence:
             u = free_evolve(sqrt_delta_data(spec, eps, grid), t)
             snap = ProbabilityDensitySnapshot.from_state(u, t, eps)
             masses.append(snap.mass)
-            disp = dispersive_bound_check(u, spec, eps, t)
+            disp = _dispersive_bound(norm_linf(u), spec, eps, t)
             sups.append(disp["measured_sup"])
             ratios.append(disp["ratio"])
             for row, psi in zip(pairings, tests):
-                row.append(abs(pair(snap.density, psi)))
+                row.append(abs(pair(u.abs2(), psi)))
         decays = [-loglog_fit(np.asarray(eg.values), np.asarray(row))[0] for row in pairings]
         close = dict(rtol=1e-12, atol=0.0)
         np.testing.assert_allclose(rep["masses"], masses, **close)

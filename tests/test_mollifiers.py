@@ -1,10 +1,13 @@
 """Mollifier profiles: normalization, scaling, square-root norms, sampled mass."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import dblquad, quad
+from scipy.special import gamma
 
 from regnets import (
     InputError,
@@ -31,6 +34,25 @@ class TestNormalization:
     def test_2d_m4_constant(self):
         integral, _ = quad(lambda r: 2 * np.pi * r * (1 + r**2) ** -2.0, 0, np.inf)
         assert cauchy_power_normalization(2, 4.0) == pytest.approx(1.0 / integral, rel=1e-10)
+
+    @pytest.mark.parametrize("n, m", [(1, 2.0), (1, 3.0), (1, 4.0), (1, 6.0), (1, 8.0),
+                                      (2, 3.0), (2, 4.0), (2, 6.0), (2, 8.0)])
+    def test_lgamma_quotients_match_scipy_gamma(self, n, m):
+        ulp = np.finfo(float).eps
+        c = gamma(m / 2.0) / (np.pi ** (n / 2.0) * gamma((m - n) / 2.0))
+        assert cauchy_power_normalization(n, m) == pytest.approx(c, rel=8 * ulp, abs=0.0)
+        if m > 2 * n:
+            s = m / 4.0
+            sqrt_l1 = np.sqrt(c) * np.pi ** (n / 2.0) * gamma(s - n / 2.0) / gamma(s)
+            assert MollifierSpec(dim=n, exponent=m).sqrt_l1_norm() == pytest.approx(sqrt_l1, rel=8 * ulp, abs=0.0)
+
+    def test_large_exponent_stays_finite(self):
+        # Gamma(200) overflows no float quotient: c(2, 400) = 199 / pi and, by
+        # Gamma(199.5) = 398! sqrt(pi) / (4^199 199!), c(1, 400) = 4^199 199!^2 / (398! pi)
+        assert cauchy_power_normalization(2, 400.0) == pytest.approx(199.0 / np.pi, rel=1e-13)
+        exact = 4**199 * math.factorial(199) ** 2 / math.factorial(398) / np.pi
+        assert cauchy_power_normalization(1, 400.0) == pytest.approx(exact, rel=1e-13)
+        assert np.isfinite(MollifierSpec(dim=1, exponent=400.0).sqrt_l1_norm())
 
     @given(
         n=st.integers(1, 2),

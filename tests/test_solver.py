@@ -94,7 +94,10 @@ def _sparse_lu_march(problem, eps):
             S = _cn_matrices(build_operator(problem.coeffs, eps, t_half, grid), dt)
             R = 2.0 * sp.identity(S.shape[0], format="csc") - S
             lu = scipy.sparse.linalg.splu(S)
-        u = lu.solve(R @ u + dt * problem.forcing_values(eps, t_half).ravel())
+        rhs = R @ u
+        if problem.forcing is not None:
+            rhs = rhs + dt * np.asarray(problem.forcing(eps, t_half), dtype=complex).ravel()
+        u = lu.solve(rhs)
         rows.append(row((m + 1) * dt, u))
     return u.reshape(grid.shape), np.asarray(rows)
 
@@ -746,6 +749,16 @@ class TestAudits:
         eps_grid = EpsGrid.dyadic(1, 6)
         uniqueness_probe(problem, eps_grid, q=4, perturbation=w)
         assert calls == list(eps_grid.values)
+
+    def test_uniqueness_probe_needs_four_nonzero_norms(self):
+        # w = 0 and eps^q w underflowing to 0 leave no exponent to fit: such a
+        # probe measured nothing and does not pass
+        problem, w = self._uniqueness_problem(_free_net())
+        eps_grid = EpsGrid.dyadic(1, 6)
+        for q, perturbation in [(4, GridFunction.zeros(problem.grid)), (200, w)]:
+            rep = uniqueness_probe(problem, eps_grid, q=q, perturbation=perturbation)
+            assert np.isnan(rep["decay_exponent"])
+            assert not rep["passes"]
 
     def test_uniqueness_probe_rejects_negative_q(self):
         grid = SpatialGrid(1, 2.0, 64)
