@@ -250,6 +250,8 @@ class TestRun:
         [
             (SWEEP.replace("coefficient_family = constant", "coefficient_family = wobbly"), 5),
             (SWEEP + "data = gaussian\n", 9),
+            # coherence takes no data key, so this exits 2 as an unknown key
+            (COHERENCE + "data = dirac\n", 8),
             (SQRT_MEASURE + "density = triangle\n", 7),
             (SQRT_MEASURE.replace("dim = 1", "dim = 3"), 2),
             (SQRT_MEASURE.replace("atoms = 0:1", "atoms = 0.5"), 6),
@@ -261,7 +263,7 @@ class TestRun:
             (COHERENCE.replace("T = 0.1", "T = 0"), 6),
             (COHERENCE.replace("T = 0.1", "T = -0.1"), 6),
         ],
-        ids=["coefficient_family", "sweep_data", "density",
+        ids=["coefficient_family", "sweep_data", "coherence_data", "density",
              "dim", "atom_without_weight", "atom_not_a_number", "points_per_axis", "half_width",
              "zero_time_steps", "negative_time_steps", "zero_T", "negative_T"],
     )
