@@ -4,12 +4,14 @@ A net is a family of grid functions (or scalars) indexed by a decreasing
 eps-grid. loglog_fit measures power exponents in 1/eps and check_log_type
 tests growth like log(1/eps), both on the tested range only: verdicts are
 finite-grid certificates, not proofs of the quantified statements they
-mirror.
+mirror. _eps_map is the package's one way to run an eps-sweep on threads.
 """
 
 from __future__ import annotations
 
 import math
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -23,6 +25,43 @@ def _require_eps(eps: float):
     """Raise InputError unless eps lies in (0, 1]: the package's one copy of the rule."""
     if not (0.0 < eps <= 1.0):
         raise InputError(f"eps must lie in (0, 1], got {eps}")
+
+
+def _cpu_count() -> int:
+    """The CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def _sweep_threads(requested: int, items) -> int:
+    """The threads _eps_map runs items on: requested, at most one per item."""
+    return max(1, min(requested, len(items)))
+
+
+def _eps_map(fn, items, requested: int) -> list:
+    """[fn(e) for e in items], in order and bitwise the same, on
+    _sweep_threads(requested, items) threads.
+
+    The calling thread computes the items i with i % threads == 0 and a
+    pool of threads - 1 workers the rest; one thread is the plain loop and
+    starts none. As in the loop, the first failing item in item order
+    raises; the items not yet started are cancelled. fn must be safe to
+    call from several threads at once.
+    """
+    items = list(items)
+    threads = _sweep_threads(requested, items)
+    if threads == 1:
+        return [fn(e) for e in items]
+    with ThreadPoolExecutor(max_workers=threads - 1) as pool:
+        jobs = [None if i % threads == 0 else pool.submit(fn, e) for i, e in enumerate(items)]
+        try:
+            return [fn(e) if job is None else job.result() for e, job in zip(items, jobs)]
+        finally:
+            for job in jobs:
+                if job is not None:
+                    job.cancel()
 
 
 @dataclass(frozen=True)

@@ -7,7 +7,8 @@ typed atom lists, enumerated keys) before anything runs; the library checks
 the rest of the input. Nothing in a run is random. A finished run replaces
 an earlier run's config.txt, manifest.txt and CSV files in its results
 directory by a copy of the config, its CSV tables, checks.csv and a
-manifest recording versions and timings; a failed run writes and removes none.
+manifest recording versions, timings and the threads its eps-sweep ran on;
+a failed run writes and removes none.
 Each checks.csv row reads the verdict of the library function that computes
 the judged quantity (README, Verdicts); only selftest compares values itself.
 Exit codes: 0 all checks pass, 2 unusable input (any InputError, from the
@@ -22,13 +23,12 @@ from __future__ import annotations
 import argparse
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
 
 from . import io
-from .asymptotics import EpsGrid, EpsNet, loglog_fit
+from .asymptotics import EpsGrid, EpsNet, _cpu_count, _eps_map, _sweep_threads, loglog_fit
 from .errors import ConfigError, InputError, RegnetsError
 from .free import free_evolve, vague_convergence_check
 from .grid import (
@@ -311,8 +311,7 @@ def _run_schrodinger_sweep(config, workers):
         T=config["T"], time_steps=config["time_steps"],
     )
 
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        results = list(pool.map(lambda eps: solve(problem, eps), eps_grid))
+    results = _eps_map(lambda eps: solve(problem, eps), eps_grid, workers)
 
     rows = []
     sup_h1 = []
@@ -463,6 +462,9 @@ def run(config_path, out_dir=None, workers: int = 1) -> int:
         print(f"run failed: {exc}", file=sys.stderr)
         return 1
     elapsed = time.perf_counter() - t0
+    # the threads the run's eps-sweep ran on: only these two sweep on threads
+    requested = {"schrodinger_sweep": workers, "free_example": _cpu_count()}.get(name, 1)
+    threads = _sweep_threads(requested, config.get("eps_grid", ()))
 
     try:
         if (out / "manifest.txt").exists():
@@ -479,7 +481,7 @@ def run(config_path, out_dir=None, workers: int = 1) -> int:
         )
         io.write_manifest(
             out / "manifest.txt",
-            io.base_manifest(experiment=name, elapsed_seconds=f"{elapsed:.3f}"),
+            io.base_manifest(experiment=name, elapsed_seconds=f"{elapsed:.3f}", threads=threads),
         )
     except OSError as exc:
         print(f"run failed: cannot write results: {exc}", file=sys.stderr)
@@ -509,6 +511,7 @@ def report(results_dir) -> int:
     print(f"experiment: {manifest.get('experiment', '?')}")
     print(f"created:    {manifest.get('created', '?')}")
     print(f"elapsed:    {manifest.get('elapsed_seconds', '?')} s")
+    print(f"threads:    {manifest.get('threads', '?')}")
     if rows is not None:
         width = max((len(r[0]) for r in rows), default=5)
         print(f"{'check'.ljust(width)}  result  detail")

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .asymptotics import EpsGrid, loglog_fit
+from .asymptotics import EpsGrid, _cpu_count, _eps_map, loglog_fit
 from .errors import InputError
 from .grid import (
     GridFunction,
@@ -32,7 +32,7 @@ from .grid import (
     _check_same_grid,
     norm_l2,
 )
-from .mollifiers import MollifierSpec, _sample_scaled
+from .mollifiers import MollifierSpec, _require_sampleable, _sample_scaled
 from .solver import CauchyProblem, CoefficientNet, constant_coefficient, solve
 
 
@@ -90,10 +90,14 @@ def mass_check(snapshot: ProbabilityDensitySnapshot, tol: float = _MASS_TOL) -> 
     return _mass_law(snapshot.mass, tol)
 
 
-def _dispersive_bound(measured: float, spec: MollifierSpec, eps: float, t: float) -> dict:
-    """Measured sup norm against ||sqrt(rho_eps)||_L1 / (4 pi |t|)^(n/2)."""
+def _require_nonzero_time(t: float):
     if t == 0.0:
         raise InputError("dispersive bound is vacuous at t = 0")
+
+
+def _dispersive_bound(measured: float, spec: MollifierSpec, eps: float, t: float) -> dict:
+    """Measured sup norm against ||sqrt(rho_eps)||_L1 / (4 pi |t|)^(n/2)."""
+    _require_nonzero_time(t)
     n = spec.dim
     sqrt_l1 = eps ** (n / 2.0) * spec.sqrt_l1_norm()
     bound = sqrt_l1 / (4.0 * np.pi * abs(t)) ** (n / 2.0)
@@ -134,8 +138,14 @@ def vague_convergence_check(
     phases exp(-i t xi_k^2) with xi_k = pi k / L, k = 0 ... M/2, and
     idctn(type=1). Mass and pairings are weighted sums over those nodes,
     each psi folded once into its reflection average; the dispersive sup
-    is their max.
+    is their max. Every input rule is checked first; the eps-values then
+    run on one thread per CPU (asymptotics._eps_map), bitwise as a loop.
     """
+    for psi in tests:
+        _check_same_grid(psi.grid, grid)
+    for eps in eps_grid:
+        _require_sampleable(spec, eps, grid, 0.5)
+    _require_nonzero_time(t)
     # the one DCT user: a free_evolve or solver run never loads scipy.fft
     from scipy.fft import dctn, idctn
 
@@ -147,19 +157,27 @@ def vague_convergence_check(
     w = np.where((k == 0) | (k == M // 2), 1.0, 2.0)
     weight = w if n == 1 else np.outer(w, w)
     # the constant 1 first: its pairing is the mass
-    weighted = [weight]
-    for psi in tests:
-        _check_same_grid(psi.grid, grid)
-        weighted.append(weight * _fold(psi.gridfunc.values, plus, minus))
-    sums, bound_reports = [], []
-    for eps in eps_grid:
-        F = dctn(_sample_scaled(spec, eps, grid, 0.5, (nodes,) * n), type=1)
-        for p in np.ix_(*(phase,) * n):
-            F = p * F  # phase first, as in free_evolve
-        dens = np.abs(idctn(F, type=1)) ** 2
-        sums.append([grid.cell_volume * np.sum(row * dens) for row in weighted])
-        bound_reports.append(_dispersive_bound(float(np.sqrt(dens.max())), spec, eps, t))
-    sums = np.array(sums)
+    weighted = [weight] + [weight * _fold(psi.gridfunc.values, plus, minus) for psi in tests]
+    first, *rest = np.ix_(*(phase,) * n)
+
+    def one_eps(eps):
+        # overwrite_x, out= and the reused buffer only spare allocations (each
+        # worker thread has its own malloc arena): the operations and their
+        # order are those of the allocating forms
+        F = dctn(_sample_scaled(spec, eps, grid, 0.5, (nodes,) * n), type=1, overwrite_x=True)
+        G = first * F  # phase first, as in free_evolve
+        for p in rest:
+            np.multiply(p, G, out=G)
+        H = idctn(G, type=1, overwrite_x=True)
+        dens = np.abs(H, out=F)  # F is spent once G holds the phased spectrum
+        np.square(dens, out=dens)
+        buf = np.empty_like(dens)
+        sums = [grid.cell_volume * np.sum(np.multiply(row, dens, out=buf)) for row in weighted]
+        return sums, _dispersive_bound(float(np.sqrt(dens.max())), spec, eps, t)
+
+    per_eps = _eps_map(one_eps, eps_grid, _cpu_count())
+    sums = np.array([s for s, _ in per_eps])
+    bound_reports = [b for _, b in per_eps]
     masses = [float(m) for m in sums[:, 0]]
     mass_ok = all(_mass_law(m)["passes"] for m in masses)
     eps_arr = np.asarray(eps_grid.values)

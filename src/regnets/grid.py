@@ -224,13 +224,25 @@ def _catalog_entry(
     grid: SpatialGrid, name: str, center, width: float, factor=None
 ) -> TestFunction:
     """Sample a catalog test function: a bump of radius width at center (see
-    _point), times factor(x_1 - c_1) when factor is given. The box must
-    exceed max|center| + width, else InputError naming that half-width."""
+    _point), times factor(x_1 - c_1) when factor is given.
+
+    The profile is evaluated on the support slab only, per axis the nodes
+    with |x_k - c_k| < width, and is 0 elsewhere. The box must exceed
+    max|center| + width and the slab must miss the first and last node of
+    every axis, else InputError naming the half-width needed.
+    """
     center = _point(center, grid.dim)
+    L, M, x = grid.half_width, grid.points_per_axis, grid.axis_coords()
     reach = float(np.max(np.abs(center))) + width
-    if reach >= grid.half_width:
+    slab = []
+    for c in center:
+        inside = np.flatnonzero(np.abs(x - c) < width)
+        slab.append(slice(inside[0], inside[-1] + 1) if inside.size else slice(0, 0))
+    if reach >= L or any(s.stop > s.start and (s.start == 0 or s.stop == M) for s in slab):
+        # above reach * M / (M - 2) the last node, L - 2L/M, lies beyond reach too
+        needed = reach if reach >= L else reach * M / (M - 2)
         raise InputError(
-            f"bump support reaches the box boundary: half_width must exceed {reach:g}"
+            f"bump support reaches the box boundary: half_width must exceed {needed:g}"
         )
     base = _bump_profile(center, width)
     if factor is None:
@@ -239,9 +251,9 @@ def _catalog_entry(
         def profile(*coords):
             return base(*coords) * factor(coords[0] - center[0])
 
-    return TestFunction(
-        gridfunc=GridFunction.from_profile(grid, profile), name=name, profile=profile
-    )
+    values = np.zeros(grid.shape)
+    values[tuple(slab)] = profile(*np.meshgrid(*(x[s] for s in slab), indexing="ij"))
+    return TestFunction(gridfunc=GridFunction(grid, values), name=name, profile=profile)
 
 
 def bump(grid: SpatialGrid, center=0.0, width: float = 1.0) -> TestFunction:

@@ -9,7 +9,8 @@ _sample_scaled is the package's only sampler of rho_eps**p on grid nodes,
 and it owns every rule a sample must meet: rho**p integrable (m p > n, in
 MollifierSpec.require_integrable; sqrt(rho) needs m > 2n), eps in (0, 1],
 spec dim = grid dim, spacing <= eps/8 (grid.require_resolves) and finite
-values. Each violation raises InputError.
+values. Each violation raises InputError. _require_sampleable checks all
+but the last, for a caller that checks a whole sweep before it samples.
 """
 
 from __future__ import annotations
@@ -88,17 +89,22 @@ class MollifierSpec:
         return float(np.sqrt(self.normalization) * np.pi ** (n / 2.0) * ratio)
 
 
+def _require_sampleable(spec: MollifierSpec, eps: float, grid: SpatialGrid, power: float):
+    """Every rule of _sample_scaled that holds before sampling: all but finite values."""
+    spec.require_integrable(power)
+    _require_eps(eps)
+    if grid.dim != spec.dim:
+        raise InputError(f"grid dim {grid.dim} != mollifier dim {spec.dim}")
+    grid.require_resolves(eps)
+
+
 def _sample_scaled(
     spec: MollifierSpec, eps: float, grid: SpatialGrid, power: float, axes
 ) -> np.ndarray:
     """rho_eps**power on the tensor product of axes, one node array per grid
     axis (the grid's axis_coords, or an atom's shifted nodes x - l_k); the
     rules it checks are listed in the module docstring."""
-    spec.require_integrable(power)
-    _require_eps(eps)
-    if grid.dim != spec.dim:
-        raise InputError(f"grid dim {grid.dim} != mollifier dim {spec.dim}")
-    grid.require_resolves(eps)
+    _require_sampleable(spec, eps, grid, power)
     values = spec.evaluate_scaled(eps, *np.ix_(*axes), power=power)
     _require_finite(values)
     return values

@@ -1,6 +1,9 @@
 """Eps grids, nets, log-log regression and the log-type coefficient test."""
 
+import os
 import re
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -20,6 +23,7 @@ from regnets import (
     loglog_fit,
     scaled_mollifier,
 )
+from regnets.asymptotics import _cpu_count, _eps_map
 
 
 class TestEpsGrid:
@@ -135,3 +139,69 @@ class TestLogType:
         eg = EpsGrid.dyadic(2, 9)
         rep = check_log_type(eg, [0.0] * len(eg))
         assert rep["passes"]
+
+
+class TestEpsMap:
+    @pytest.mark.parametrize("threads", [1, 2, 3, 4, 9])
+    @pytest.mark.parametrize("count", [0, 1, 2, 5, 6, 7])
+    def test_results_in_item_order(self, threads, count):
+        caller, ran_on = threading.get_ident(), {}
+
+        def fn(e):
+            ran_on[e] = threading.get_ident()
+            return e * e
+
+        items = [0.5 * i for i in range(count)]
+        assert _eps_map(fn, items, threads) == [e * e for e in items]
+        used = max(1, min(threads, count))
+        # the calling thread takes every used-th item, the pool the rest
+        assert [i for i, e in enumerate(items) if ran_on[e] == caller] == list(range(0, count, used))
+
+    def test_earliest_failing_item_raises(self):
+        # three threads: items 2 and 4 run on the two pool workers
+        def fn(e):
+            if e == 2:
+                time.sleep(0.05)  # fails after item 4 has failed
+                raise ValueError("item 2")
+            if e == 4:
+                raise ValueError("item 4")
+            return e
+
+        with pytest.raises(ValueError, match="item 2"):
+            _eps_map(fn, range(8), 3)
+
+    def test_failure_on_the_caller_wins_over_a_later_worker_failure(self):
+        # two threads: item 2 runs on the caller, item 5 on the worker
+        def fn(e):
+            if e == 2:
+                time.sleep(0.05)
+                raise KeyError("item 2")
+            if e == 5:
+                raise KeyError("item 5")
+            return e
+
+        with pytest.raises(KeyError, match="item 2"):
+            _eps_map(fn, range(8), 2)
+
+    def test_items_not_started_are_cancelled(self):
+        ran = []
+
+        def fn(e):
+            ran.append(e)
+            if e == 0:
+                raise ValueError("item 0")
+            time.sleep(0.1)  # holds the one worker while the caller fails
+            return e
+
+        with pytest.raises(ValueError, match="item 0"):
+            _eps_map(fn, range(8), 2)
+        assert set(ran) <= {0, 1}
+
+    def test_cpu_count_falls_back_without_affinity(self, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {3, 5}, raising=False)
+        assert _cpu_count() == 2
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: None)
+        assert _cpu_count() == 1
+        monkeypatch.setattr(os, "cpu_count", lambda: 4)
+        assert _cpu_count() == 4

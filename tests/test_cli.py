@@ -1,5 +1,6 @@
 """Config parsing, experiment runner exit codes, and result persistence."""
 
+import os
 from pathlib import Path
 
 import numpy as np
@@ -220,8 +221,10 @@ class TestRun:
         # no seed (nothing is random) and no check counts (checks.csv has them)
         assert set(manifest) == {
             "created", "regnets_version", "numpy_version", "scipy_version",
-            "experiment", "elapsed_seconds",
+            "experiment", "elapsed_seconds", "threads",
         }
+        # selftest sweeps no eps on threads
+        assert manifest["threads"] == "1"
         assert "[PASS] selftest" in capsys.readouterr().out
         # checks.csv is the only checks table
         assert sorted(f.name for f in out.iterdir()) == ["checks.csv", "config.txt", "manifest.txt"]
@@ -452,6 +455,27 @@ class TestRun:
         _, rows = io.read_csv(out / "checks.csv")
         assert {name: passed for name, passed, _ in rows}["cutoff_plateau_identity"] == "1"
 
+    def test_sweep_tables_do_not_depend_on_workers(self, tmp_path):
+        # the calling thread plus workers - 1 pool threads solve the 6 eps;
+        # --workers changes only the manifest's thread count
+        path = _write(tmp_path, PASSING["schrodinger_sweep"])
+        for workers in (1, 2, 3):
+            assert run(path, out_dir=tmp_path / f"w{workers}", workers=workers) == 0
+            assert io.read_manifest(tmp_path / f"w{workers}" / "manifest.txt")["threads"] == str(workers)
+        for fname in ("norm_history.csv", "sup_h1.csv", "checks.csv"):
+            tables = {(tmp_path / f"w{w}" / fname).read_bytes() for w in (1, 2, 3)}
+            assert len(tables) == 1, fname
+        # no more threads than eps values
+        assert run(path, out_dir=tmp_path / "w9", workers=9) == 0
+        assert io.read_manifest(tmp_path / "w9" / "manifest.txt")["threads"] == "6"
+
+    @pytest.mark.parametrize("cpus, threads", [({0}, "1"), (set(range(4)), "4"), (set(range(16)), "6")])
+    def test_free_example_records_one_thread_per_cpu(self, tmp_path, monkeypatch, cpus, threads):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus, raising=False)
+        out = tmp_path / "res"
+        assert run(_write(tmp_path, PASSING["free_example"]), out_dir=out, workers=3) == 0
+        assert io.read_manifest(out / "manifest.txt")["threads"] == threads
+
     def test_determinism_same_config_same_tables(self, tmp_path):
         path = _write(tmp_path, SELFTEST)
         assert run(path, out_dir=tmp_path / "a") == 0
@@ -471,6 +495,7 @@ class TestReport:
         assert report(out) == 0
         text = capsys.readouterr().out
         assert "experiment: selftest" in text
+        assert "threads:    1" in text
         assert "PASS" in text
 
     def test_report_missing_manifest_exits_2(self, tmp_path, capsys):

@@ -1,5 +1,8 @@
 """Spectral free propagator: exactness, group law, probability snapshots."""
 
+import os
+import threading
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -27,6 +30,7 @@ from regnets import (
     sqrt_delta_data,
     vague_convergence_check,
 )
+import regnets.free
 from regnets.free import _dispersive_bound
 
 
@@ -245,6 +249,15 @@ class TestVagueConvergence:
         assert odd["passes"] is False
         assert rep["passes"] is False
 
+    BAD_INPUT_MESSAGES = {
+        "eps_above_one": r"eps must lie in \(0, 1\], got 1.5$",
+        "under_resolved": "grid spacing 0.125 exceeds 0.5/8; need points_per_axis >= 512 at half_width 16$",
+        "sqrt_not_integrable": r"exponent m=2.0 must exceed dimension n=1 / 0.5 for an integrable rho\*\*0.5$",
+        "non_finite_samples": "values contain NaN or Inf$",
+        "psi_on_other_grid": "operands live on different grids$",
+        "t_zero": "dispersive bound is vacuous at t = 0$",
+    }
+
     @pytest.mark.parametrize(
         "case, error",
         [
@@ -253,12 +266,13 @@ class TestVagueConvergence:
             ("sqrt_not_integrable", InputError),
             ("non_finite_samples", InputError),
             ("psi_on_other_grid", InputError),
+            ("t_zero", InputError),
         ],
     )
     def test_bad_input_raises_typed_error(self, case, error, monkeypatch):
         spec = MollifierSpec(dim=1, exponent=6.0)
         grid = SpatialGrid(1, 16.0, 2048)
-        eps, tests = EpsGrid(np.geomspace(0.5, 0.125, 6)), [bump(grid, 0.0, 1.0)]
+        eps, tests, t = EpsGrid(np.geomspace(0.5, 0.125, 6)), [bump(grid, 0.0, 1.0)], 0.5
         if case == "eps_above_one":
             # a plain sequence reaches the sampler's own range check, which
             # EpsGrid would pre-empt
@@ -272,11 +286,55 @@ class TestVagueConvergence:
             # a spec with m = inf no longer builds; an infinite constant
             # still reaches the sampler's finite-value rule
             monkeypatch.setattr(MollifierSpec, "normalization", np.inf)
-        else:
+        elif case == "psi_on_other_grid":
             tests = [bump(SpatialGrid(1, 16.0, 1024), 0.0, 1.0)]
-        with pytest.raises(error) as raised:
-            vague_convergence_check(spec, eps, grid, 0.5, tests)
+        else:
+            t = 0.0
+        if case != "non_finite_samples":
+            # every rule but finiteness holds before the sweep starts
+            def no_sweep(*args):
+                raise AssertionError("the eps-sweep started")
+
+            monkeypatch.setattr(regnets.free, "_eps_map", no_sweep)
+        with pytest.raises(error, match=self.BAD_INPUT_MESSAGES[case]) as raised:
+            vague_convergence_check(spec, eps, grid, t, tests)
         assert raised.type is error
+
+    def test_non_finite_sample_on_a_worker_raises_in_the_caller(self, monkeypatch):
+        # two threads: eps index 3 runs on the pool's worker
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        spec = MollifierSpec(dim=1, exponent=6.0)
+        grid = SpatialGrid(1, 16.0, 2048)
+        eps = EpsGrid(np.geomspace(0.5, 0.125, 6))
+        evaluate = MollifierSpec.evaluate_scaled
+        bad = {eps[3]: threading.get_ident()}
+
+        def poisoned(self, e, *coords, power=1.0):
+            values = evaluate(self, e, *coords, power=power)
+            if e in bad:
+                bad[e] = threading.get_ident()
+                values[0] = np.inf
+            return values
+
+        monkeypatch.setattr(MollifierSpec, "evaluate_scaled", poisoned)
+        with pytest.raises(InputError, match="values contain NaN or Inf$"):
+            vague_convergence_check(spec, eps, grid, 0.5, [bump(grid, 0.0, 1.0)])
+        assert bad[eps[3]] != threading.get_ident()
+
+    def test_one_cpu_runs_the_plain_loop(self, monkeypatch):
+        spec = MollifierSpec(dim=2, exponent=8.0)
+        grid = SpatialGrid(2, 8.0, 512)
+        eg = EpsGrid([2.0 ** (-0.75 - 0.25 * j) for j in range(6)])
+        tests = [bump(grid, (0.1, -0.2), 1.0), linear_bump(grid, (0.0, 0.3), 1.0)]
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
+        threaded = vague_convergence_check(spec, eg, grid, 0.75, tests)
+
+        def no_thread(self):
+            raise AssertionError("a thread was started")
+
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        monkeypatch.setattr(threading.Thread, "start", no_thread)
+        assert repr(vague_convergence_check(spec, eg, grid, 0.75, tests)) == repr(threaded)
 
 
 class TestCrossValidation:

@@ -346,6 +346,30 @@ class TestTestFunctions:
             bump(SpatialGrid(2, 2.0, 64), (0.5, -1.25), 0.75)
 
     @pytest.mark.parametrize("make", [bump, oscillatory_bump, linear_bump])
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_support_on_the_last_node_names_the_half_width_it_needs(self, make, dim):
+        # max|centre| + width = 1.99 < 2, but the last node 2 - 1/16 lies inside the support
+        with pytest.raises(InputError, match="bump support reaches the box boundary: half_width must exceed 2.05419$"):
+            make(SpatialGrid(dim, 2.0, 64), 1.0, 0.99)
+        # 1.99 * 64 / 62 = 2.054193...: just above it the last node clears the support
+        psi = make(SpatialGrid(dim, 2.0542, 64), 1.0, 0.99)
+        assert np.any(psi.gridfunc.values != 0.0)
+
+    @pytest.mark.parametrize("make", [bump, oscillatory_bump, linear_bump])
+    @pytest.mark.parametrize(
+        "dim, half_width, points, centre, width",
+        [
+            (1, 4.0, 256, 0.3, 1.0), (1, 8.0, 4096, -2.5, 1.5), (1, 2.0, 64, 0.0, 1.8),
+            (2, 4.0, 64, (0.3, -0.7), 1.0), (2, 16.0, 1024, (0.5, 0.25), 1.0), (2, 3.0, 128, (-1.0, 1.1), 1.8),
+        ],
+    )
+    def test_slab_sampling_equals_full_grid_sampling(self, make, dim, half_width, points, centre, width):
+        g = SpatialGrid(dim, half_width, points)
+        psi = make(g, centre, width)
+        full = GridFunction.from_profile(g, psi.profile).values
+        assert np.array_equal(psi.gridfunc.values, full)
+
+    @pytest.mark.parametrize("make", [bump, oscillatory_bump, linear_bump])
     def test_scalar_centre_stands_for_every_axis(self, make):
         g2 = SpatialGrid(2, 4.0, 64)
         explicit = make(g2, (0.0, 0.0), 1.0).gridfunc.values
