@@ -112,9 +112,6 @@ class EpsNet:
         object.__setattr__(self, "eps", eps)
         object.__setattr__(self, "items", items)
 
-    def __len__(self):
-        return len(self.items)
-
 
 def loglog_fit(eps: np.ndarray, values: np.ndarray):
     """Least squares of log(values) against log(1/eps); returns slope,

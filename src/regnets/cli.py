@@ -14,8 +14,9 @@ the judged quantity (README, Verdicts); only selftest compares values itself.
 Exit codes: 0 all checks pass, 2 unusable input (any InputError, from the
 schema or the library, raised before results are written), 1 a failed
 check or any other failure (results that cannot be written included).
-`report` exits 2 when manifest.txt or checks.csv cannot be read, checks.csv
-is empty or has a row without exactly three fields; 1 when a check failed.
+`report` exits 2 when manifest.txt or checks.csv is missing or cannot be
+read, checks.csv is empty, holds only its header or has a row without
+exactly three fields; 1 when a check failed.
 """
 
 from __future__ import annotations
@@ -501,8 +502,10 @@ def report(results_dir) -> int:
     checks_path = results_dir / "checks.csv"
     try:
         manifest = io.read_manifest(results_dir / "manifest.txt")
-        rows = io.read_csv(checks_path)[1] if checks_path.exists() else None
-        for row in rows or ():
+        rows = io.read_csv(checks_path)[1]
+        if not rows:
+            raise ConfigError(f"{checks_path}: no check rows")
+        for row in rows:
             if len(row) != 3:
                 raise ConfigError(f"{checks_path}: expected check,passed,detail, got {row}")
     except ConfigError as exc:
@@ -512,15 +515,12 @@ def report(results_dir) -> int:
     print(f"created:    {manifest.get('created', '?')}")
     print(f"elapsed:    {manifest.get('elapsed_seconds', '?')} s")
     print(f"threads:    {manifest.get('threads', '?')}")
-    if rows is not None:
-        width = max((len(r[0]) for r in rows), default=5)
-        print(f"{'check'.ljust(width)}  result  detail")
-        for name, passed, detail in rows:
-            verdict = "PASS" if passed == "1" else "FAIL"
-            print(f"{name.ljust(width)}  {verdict}    {detail}")
-        if any(r[1] != "1" for r in rows):
-            return 1
-    return 0
+    width = max(len(r[0]) for r in rows)
+    print(f"{'check'.ljust(width)}  result  detail")
+    for name, passed, detail in rows:
+        verdict = "PASS" if passed == "1" else "FAIL"
+        print(f"{name.ljust(width)}  {verdict}    {detail}")
+    return 1 if any(r[1] != "1" for r in rows) else 0
 
 
 def main(argv=None) -> int:

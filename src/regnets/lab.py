@@ -2,8 +2,8 @@
 
 Two experiment drivers: coherence of the regularized solutions with a
 resolution-verified classical reference when the data are embedded by
-mollification, and distributional association of solution nets computed
-from pairings across the sweep.
+mollification, read off the solved difference net (no solution is
+subtracted), and association of solution nets from pairings across the sweep.
 """
 
 from __future__ import annotations
@@ -66,11 +66,12 @@ def coherence_experiment(
 
     The reference is the same scheme run with unmollified data; its validity
     is certified by a self-convergence check against a (2M, 2Nt) run, which
-    must agree to reference_tol / 10 in sup-t H1, else RegnetsError. Per
-    eps the data are mollified in x and the larger H1 difference at the
-    snapshot times T/2 and T is recorded; monotone decay, the final
-    difference and the fitted eps-rate form the verdict. The reference and
-    certificate use eps = 1, so coeffs must not depend on eps: before any
+    must agree to reference_tol / 10 in sup-t H1, else RegnetsError. The
+    scheme is linear, so per eps the difference net is solved from the data
+    rho_eps * g - g (the forcing likewise) and no solution is subtracted;
+    its larger H1 norm at T/2 and T, monotone decay, the final difference
+    and the fitted eps-rate form the verdict. The reference and certificate
+    use eps = 1, so coeffs must not depend on eps: before any transform or
     solve, a c_k or V that differs from its eps = 1 field at some eps of the
     sweep raises InputError (see _require_eps_independent).
     """
@@ -83,6 +84,8 @@ def coherence_experiment(
         T=T,
         time_steps=time_steps,
     )
+    _require_eps_independent(coeffs, eps_grid, grid, reference.dt, time_steps)
+
     fine_grid = SpatialGrid(grid.dim, grid.half_width, grid.points_per_axis * 2)
     g0_fine = _spectral_prolong(g0, fine_grid)
     certificate = replace(
@@ -92,15 +95,13 @@ def coherence_experiment(
         forcing=None if f0 is None else lambda e, t: f0(t, fine_grid),
         time_steps=time_steps * 2,
     )
-    mollified = replace(
+    difference = replace(
         reference,
-        initial=lambda e: mollify_gridfunction(g0, spec, e),
-        forcing=None if f0 is None else lambda e, t: mollify_gridfunction(
-            GridFunction(grid, f0(t, grid)), spec, e
+        initial=lambda e: mollify_gridfunction(g0, spec, e) - g0,
+        forcing=None if f0 is None else lambda e, t: (
+            mollify_gridfunction(f := GridFunction(grid, f0(t, grid)), spec, e) - f
         ).values,
     )
-
-    _require_eps_independent(coeffs, eps_grid, grid, reference.dt, time_steps)
 
     def snapshots(problem, eps):
         return solve(problem, eps, snapshot_times=snapshot_times, record_norms=False).snapshots
@@ -116,8 +117,8 @@ def coherence_experiment(
 
     diffs = []
     for eps in eps_grid:
-        u = snapshots(mollified, eps)
-        diffs.append(max(norm_hk(u[t] - ref[t], 1) for t in snapshot_times))
+        v = snapshots(difference, eps)
+        diffs.append(max(norm_hk(v[t], 1) for t in snapshot_times))
 
     slope = -loglog_fit(np.asarray(eps_grid.values), np.asarray(diffs))[0]  # exponent of eps
     return CoherenceResult(
@@ -136,7 +137,7 @@ def _require_eps_independent(
 ):
     """InputError unless every c_k and V equals its eps = 1 field at every eps.
 
-    The fields are compared exactly at the half-step times the mollified
+    The fields are compared exactly at the half-step times the difference
     solves read: the first one for a field declared static, every one of the
     time_steps otherwise.
     """

@@ -140,6 +140,13 @@ class TestLogType:
         rep = check_log_type(eg, [0.0] * len(eg))
         assert rep["passes"]
 
+    def test_bad_sup_norms_rejected(self):
+        eg = EpsGrid.dyadic(2, 9)
+        with pytest.raises(InputError, match="sup_norms length must match eps grid"):
+            check_log_type(eg, [1.0] * (len(eg) - 1))
+        with pytest.raises(InputError, match="sup norms must be nonnegative"):
+            check_log_type(eg, [1.0] * (len(eg) - 1) + [-1.0])
+
 
 class TestEpsMap:
     @pytest.mark.parametrize("threads", [1, 2, 3, 4, 9])

@@ -113,6 +113,10 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="unknown experiment") as exc:
             parse_config(path)
         assert exc.value.line == 1
+        # and a config that names none
+        path = _write(tmp_path, "dim = 1\n")
+        with pytest.raises(ConfigError, match="missing required key 'experiment'"):
+            parse_config(path)
 
     def test_unknown_key(self, tmp_path):
         for text, line in [
@@ -508,20 +512,23 @@ class TestReport:
         for bad in ("dir", "latin1"):
             assert report(tmp_path / bad) == 2
             assert "error: cannot read manifest" in capsys.readouterr().err
-        # and so can a checks.csv that is a directory, not UTF-8, empty, or has
-        # a row without three fields, next to a valid manifest
+        # and so can a checks.csv that is missing, a directory, not UTF-8,
+        # empty, header-only, or has a row without three fields, next to a
+        # valid manifest: run always writes at least one check row
         bad_checks = {
-            "checks_dir": None,
+            "checks_missing": None,
+            "checks_dir": "dir",
             "checks_latin1": b"check,passed,detail\ncaf\xe9,1,\n",
             "checks_empty": b"",
+            "checks_header_only": b"check,passed,detail\n",
             "checks_short_row": b"check,passed,detail\nl2_conservation,1\n",
         }
         for bad, content in bad_checks.items():
             (tmp_path / bad).mkdir()
             io.write_manifest(tmp_path / bad / "manifest.txt", io.base_manifest(experiment="x"))
-            if content is None:
+            if content == "dir":
                 (tmp_path / bad / "checks.csv").mkdir()
-            else:
+            elif content is not None:
                 (tmp_path / bad / "checks.csv").write_bytes(content)
             assert report(tmp_path / bad) == 2, bad
             assert "error:" in capsys.readouterr().err

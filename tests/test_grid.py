@@ -79,6 +79,8 @@ class TestGridFunction:
         u = GridFunction.from_profile(g, lambda x: x**2)
         with pytest.raises((ValueError, AttributeError)):
             u.values[0] = 99.0
+        with pytest.raises(AttributeError, match="GridFunction is immutable"):
+            u.values = np.zeros(16)
 
     def test_shape_mismatch_rejected(self):
         g = SpatialGrid(1, 1.0, 16)
@@ -267,6 +269,9 @@ class TestDerivative:
         g = SpatialGrid(1, 1.0, 16)
         with pytest.raises(InputError):
             derivative(GridFunction.zeros(g), order=3)
+        for axis in (1, -1):
+            with pytest.raises(InputError, match=f"axis {axis} out of range for dim 1"):
+                derivative(GridFunction.zeros(g), axis=axis)
 
     @given(a=st.floats(-2, 2), b=st.floats(-2, 2), seed=st.integers(0, 10**6))
     @settings(max_examples=20, deadline=None)

@@ -104,6 +104,20 @@ class TestCoherence:
             )
         assert not isinstance(exc.value, InputError)
 
+    def test_constant_coefficient_gaps_equal_the_data_gap(self):
+        # with constant c the CN step is a unimodular Fourier multiplier, so
+        # each gap is ||rho_eps * g - g||_H1 up to the roundoff of one solve
+        grid = SpatialGrid(1, 4.0, 4096)
+        g0 = GridFunction.from_profile(grid, lambda x: np.exp(-(x**2)))
+        eg = EpsGrid([0.25, 0.177, 0.125, 0.088, 0.0625, 0.0442, 0.03125, 0.0221, 0.015625])
+        result = coherence_experiment(
+            grid, _const_net(), g0, None, SPEC, eg, T=0.1, time_steps=200,
+            reference_tol=1e-3,
+        )
+        data_gaps = [norm_hk(mollify_gridfunction(g0, SPEC, e) - g0, 1) for e in eg]
+        for gap, data_gap in zip(result.h1_sup_diffs, data_gaps):
+            assert gap == pytest.approx(data_gap, rel=1e-12, abs=0.0)
+
     def test_variable_coefficient_enters_the_gaps(self):
         # with constant c the CN step is unitary in H1, so each gap equals
         # ||rho_eps * g - g||_H1 and no PDE effect is measured; c(x) breaks that

@@ -120,6 +120,10 @@ class TestMeasure:
             Density(kind, params)
         Density(kind)  # the kind's default parameter stays valid
 
+    def test_density_rejects_unknown_kind(self):
+        with pytest.raises(InputError, match="unknown density kind 'triangle'"):
+            Density("triangle")
+
 
 class TestDensityOracles:
     # the closed forms and quadratures against grid sums of Density.evaluate;
@@ -143,6 +147,11 @@ class TestDensityOracles:
         for radius in (0.5, 1.0, 1.5, 2.0):
             on_grid = grid.cell_volume * np.sum(dens[r <= radius])
             assert density.ball_mass(dim, radius) == pytest.approx(on_grid, rel=rel)
+
+    def test_integral_is_zero_when_the_supports_are_disjoint(self):
+        grid = SpatialGrid(1, 4.0, 1024)
+        psi = bump(grid, 3.0, 0.5)  # supported in [2.5, 3.5], the density in [-1.25, 1.25]
+        assert Density("uniform", {"half_width": 1.25}).integrate_against(psi) == 0.0
 
     @staticmethod
     def _tight_target(density, psi, center, width):
@@ -375,6 +384,9 @@ class TestReports:
         rep = lower_bound_check(h, Measure.dirac(), SPEC_1D, eps, K_radius=1.0)
         assert rep["passes"]
         assert rep["measured_inf"] >= rep["sharp_bound"] * (1 - 1e-9)
+        # the origin is a node, so only a negative radius leaves the ball empty
+        with pytest.raises(InputError, match="no grid nodes inside the requested ball"):
+            lower_bound_check(h, Measure.dirac(), SPEC_1D, eps, K_radius=-1.0)
 
     def test_lower_bound_sweep_slope_matches_m0_minus_n(self):
         grid = SpatialGrid(1, 4.0, 32768)

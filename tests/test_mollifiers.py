@@ -130,6 +130,8 @@ class TestMollifierSpec:
     def test_exponent_must_exceed_dimension_at_construction(self, dim, exponent):
         with pytest.raises(RegnetsError, match=f"exponent m={exponent} must exceed dimension n={dim}"):
             MollifierSpec(dim=dim, exponent=exponent)
+        with pytest.raises(RegnetsError, match=f"exponent m={exponent} must exceed dimension n={dim}"):
+            cauchy_power_normalization(dim, exponent)
         # m = inf gave a NaN normalization; NaN fails every comparison
         for bad in (np.inf, -np.inf, np.nan):
             with pytest.raises(RegnetsError, match=f"exponent must be finite, got {bad}"):
