@@ -463,9 +463,16 @@ def run(config_path, out_dir=None, workers: int = 1) -> int:
         print(f"run failed: {exc}", file=sys.stderr)
         return 1
     elapsed = time.perf_counter() - t0
-    # the threads the run's eps-sweep ran on: only these two sweep on threads
-    requested = {"schrodinger_sweep": workers, "free_example": _cpu_count()}.get(name, 1)
-    threads = _sweep_threads(requested, config.get("eps_grid", ()))
+    # the threads the run's eps-map ran on; coherence maps its certified gap
+    # as one item more than the eps, and selftest and sqrt_measure run no map
+    eps = list(config.get("eps_grid", ()))
+    requested, items = {
+        "schrodinger_sweep": (workers, eps),
+        "free_example": (_cpu_count(), eps),
+        "coherence": (_cpu_count(), [None, *eps]),
+        "association": (_cpu_count(), eps),
+    }.get(name, (1, eps))
+    threads = _sweep_threads(requested, items)
 
     try:
         if (out / "manifest.txt").exists():

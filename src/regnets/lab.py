@@ -9,10 +9,11 @@ subtracted), and association of solution nets from pairings across the sweep.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import partial
 
 import numpy as np
 
-from .asymptotics import EpsGrid, loglog_fit
+from .asymptotics import EpsGrid, _cpu_count, _eps_map, loglog_fit
 from .errors import InputError, RegnetsError
 from .grid import (
     GridFunction,
@@ -74,6 +75,14 @@ def coherence_experiment(
     use eps = 1, so coeffs must not depend on eps: before any transform or
     solve, a c_k or V that differs from its eps = 1 field at some eps of the
     sweep raises InputError (see _require_eps_independent).
+
+    The certified gap (reference, certificate and their comparison) and the
+    difference solves run on one thread per CPU (asymptotics._eps_map), with
+    the certified gap as item 0 and the eps in sweep order after it: the
+    results are bitwise those of a loop, and so is the error raised, since
+    the first failing item raises. A failed certificate therefore wins over
+    any difference's error, and among the differences the largest failing
+    eps wins.
     """
     snapshot_times = [T / 2.0, T]
     reference = CauchyProblem(
@@ -106,19 +115,25 @@ def coherence_experiment(
     def snapshots(problem, eps):
         return solve(problem, eps, snapshot_times=snapshot_times, record_norms=False).snapshots
 
-    ref = snapshots(reference, 1.0)
-    ref_fine = snapshots(certificate, 1.0)
-    gap = max(norm_hk(_restrict(ref_fine[t], grid) - ref[t], 1) for t in snapshot_times)
-    if gap > reference_tol / 10.0:
-        raise RegnetsError(
-            f"reference self-convergence gap {gap:.3e} exceeds {reference_tol / 10.0:.3e}; "
-            "refine the reference resolution"
-        )
+    def certified_gap():
+        ref = snapshots(reference, 1.0)
+        ref_fine = snapshots(certificate, 1.0)
+        gap = max(norm_hk(_restrict(ref_fine[t], grid) - ref[t], 1) for t in snapshot_times)
+        if gap > reference_tol / 10.0:
+            raise RegnetsError(
+                f"reference self-convergence gap {gap:.3e} exceeds {reference_tol / 10.0:.3e}; "
+                "refine the reference resolution"
+            )
+        return gap
 
-    diffs = []
-    for eps in eps_grid:
+    def difference_gap(eps):
         v = snapshots(difference, eps)
-        diffs.append(max(norm_hk(v[t], 1) for t in snapshot_times))
+        return max(norm_hk(v[t], 1) for t in snapshot_times)
+
+    # item 0 is the certified gap, so a failed certificate raises before any
+    # difference's error, as in a loop
+    jobs = [certified_gap, *(partial(difference_gap, eps) for eps in eps_grid)]
+    gap, *diffs = _eps_map(lambda job: job(), jobs, _cpu_count())
 
     slope = -loglog_fit(np.asarray(eps_grid.values), np.asarray(diffs))[0]  # exponent of eps
     return CoherenceResult(
@@ -175,17 +190,20 @@ def association_of_solution(
 
     Successive differences must shrink by an average factor >= 1.5 for an
     association verdict (cauchy); otherwise no association was detected at
-    this tolerance.
+    this tolerance. The solves run on one thread per CPU
+    (asymptotics._eps_map), bitwise as a loop and raising the error of the
+    largest failing eps. Pairings are kept by the position of psi in tests,
+    so a test function listed twice gets its own entry each time.
     """
-    pairings = {id(psi): [] for psi in tests}
-    for eps in eps_grid:
+    def pairings_at(eps):
         res = solve(problem, eps, snapshot_times=[snapshot_time], record_norms=False)
         u = res.snapshots[snapshot_time]
-        for psi in tests:
-            pairings[id(psi)].append(pair(u, psi))
+        return [pair(u, psi) for psi in tests]
+
+    rows = _eps_map(pairings_at, eps_grid, _cpu_count())
     per_test = []
-    for psi in tests:
-        vals = pairings[id(psi)]
+    for k, psi in enumerate(tests):
+        vals = [row[k] for row in rows]
         deltas = [abs(vals[i + 1] - vals[i]) for i in range(len(vals) - 1)]
         # deltas at roundoff level are already converged; exclude them from
         # the shrink-factor statistic so noise ratios cannot mask a limit

@@ -168,12 +168,17 @@ class FluxFormOperator:
         Bitwise equal to the roll form out = v * u, then per axis
         flux = c_half * (roll(u, -1) - u), out = out + (flux - roll(flux, 1)) / dx**2:
         the same operations in the same order (c_half first in the product,
-        since with FMA complex products depend on operand order; a division
-        by dx**2, not a product with its reciprocal), with the periodic wrap
-        taken by slices into two buffers updated in place.
+        since with FMA complex products depend on operand order), with the
+        periodic wrap taken by slices into two buffers updated in place.
+        For complex u the division by dx**2 is a product of the float view
+        with 1 / dx**2: numpy divides a complex number by a real d by Smith's
+        rule, whose zero imaginary part reduces it to each component times
+        1 / d, so finite values keep their bits (an exact zero may change
+        sign) without complex arithmetic.
         """
         out = self.v * u
         fwd, flux_diff = np.empty_like(out), np.empty_like(out)
+        inv_dx2 = 1.0 / self.dx**2
         for k, ch in enumerate(self.c_half):
             uk, fk, dk = u.swapaxes(0, k), fwd.swapaxes(0, k), flux_diff.swapaxes(0, k)
             np.subtract(uk[1:], uk[:-1], out=fk[:-1])  # D+ u at node i
@@ -181,7 +186,10 @@ class FluxFormOperator:
             np.multiply(ch, fwd, out=fwd)  # the flux
             np.subtract(fk[1:], fk[:-1], out=dk[1:])
             np.subtract(fk[:1], fk[-1:], out=dk[:1])
-            np.divide(flux_diff, self.dx**2, out=flux_diff)
+            if flux_diff.dtype.kind == "c":
+                np.multiply(flux_diff.view(float), inv_dx2, out=flux_diff.view(float))
+            else:
+                np.divide(flux_diff, self.dx**2, out=flux_diff)
             np.add(out, flux_diff, out=out)
         return out
 

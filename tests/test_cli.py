@@ -480,6 +480,20 @@ class TestRun:
         assert run(_write(tmp_path, PASSING["free_example"]), out_dir=out, workers=3) == 0
         assert io.read_manifest(out / "manifest.txt")["threads"] == threads
 
+    @pytest.mark.parametrize("name, cpus, threads", [
+        ("coherence", {0}, "1"), ("coherence", set(range(4)), "4"),
+        ("coherence", set(range(16)), "7"),  # 6 eps and the certified gap
+        ("association", {0}, "1"), ("association", set(range(4)), "4"),
+        ("association", set(range(16)), "6"),
+    ])
+    def test_lab_experiments_record_one_thread_per_cpu(self, tmp_path, monkeypatch, name, cpus, threads):
+        # --workers acts on schrodinger_sweep only
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus, raising=False)
+        out = tmp_path / "res"
+        assert run(_write(tmp_path, PASSING[name]), out_dir=out, workers=3) == 0
+        assert io.read_manifest(out / "manifest.txt")["threads"] == threads
+        _assert_matches_golden(out, GOLDEN / name)
+
     def test_determinism_same_config_same_tables(self, tmp_path):
         path = _write(tmp_path, SELFTEST)
         assert run(path, out_dir=tmp_path / "a") == 0

@@ -1,5 +1,7 @@
 """Coherence with a classical reference and association of solution nets."""
 
+import threading
+
 import numpy as np
 import pytest
 
@@ -25,6 +27,7 @@ from regnets import (
     scaled_mollifier,
     spatial_coefficient,
 )
+import regnets.lab
 from regnets.lab import association_of_solution, coherence_experiment
 
 SPEC = MollifierSpec(dim=1, exponent=4.0)
@@ -218,6 +221,16 @@ class TestAssociationOfSolution:
         measured = rep["tests"][0]["pairings"][-1]
         assert abs(measured - oracle) < 5e-3
 
+    def test_a_test_function_listed_twice_gets_two_entries(self):
+        grid = SpatialGrid(1, 4.0, 2048)
+        eg = EpsGrid([0.25, 0.177, 0.125, 0.088, 0.0625, 0.0442])
+        psi = bump(grid, 0.0, 1.0)
+        problem = self._dirac_problem(grid, T=0.1, steps=20)
+        once = association_of_solution(problem, eg, [psi], 0.1)["tests"]
+        twice = association_of_solution(problem, eg, [psi, psi], 0.1)["tests"]
+        assert len(once[0]["pairings"]) == len(eg)
+        assert twice == [once[0], once[0]]
+
     def test_symmetric_zero_pairing_counts_as_converged(self):
         grid = SpatialGrid(1, 4.0, 8192)
         eg = EpsGrid([0.25, 0.125, 0.0625, 0.03125, 0.015625, 0.0078125])
@@ -248,3 +261,68 @@ class TestAssociationOfSolution:
         amp = association_of_solution(problem, eg, [psi], 0.0)
         amp_vals = [abs(v) for v in amp["tests"][0]["pairings"]]
         assert amp_vals[-1] < 0.5 * amp_vals[0]  # amplitude pairing vanishes
+
+
+class TestThreadCount:
+    """The eps-maps of coherence and association give the same results and
+    the same error on any number of threads, and one thread starts none."""
+
+    @pytest.fixture(params=[1, 2, 3])
+    def cpus(self, request, monkeypatch):
+        monkeypatch.setattr(regnets.lab, "_cpu_count", lambda: request.param)
+        if request.param == 1:
+            monkeypatch.setattr(threading.Thread, "start", lambda self: pytest.fail("thread started"))
+        return request.param
+
+    @staticmethod
+    def _variable_net():
+        return CoefficientNet(
+            c=(spatial_coefficient(lambda x: 1.0 + 0.5 * np.exp(-(x**2))),),
+            V=constant_coefficient(0.0), c0=1.0,
+        )
+
+    def _coherence(self, eg, grid=None, reference_tol=1e-2):
+        grid = grid or SpatialGrid(1, 8.0, 2048)
+        g0 = GridFunction.from_profile(grid, lambda x: np.exp(-(x**2)))
+        return coherence_experiment(
+            grid, self._variable_net(), g0, None, SPEC, eg, T=0.1, time_steps=50,
+            reference_tol=reference_tol,
+        )
+
+    def test_coherence_result_does_not_depend_on_threads(self, cpus):
+        eg = EpsGrid([0.5, 0.35, 0.25, 0.177, 0.125, 0.088, 0.0625])
+        result = self._coherence(eg)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(regnets.lab, "_cpu_count", lambda: 1)
+            serial = self._coherence(eg)
+        assert result == serial
+
+    def test_association_pairings_do_not_depend_on_threads(self, cpus):
+        grid = SpatialGrid(1, 4.0, 2048)
+        problem = CauchyProblem(
+            grid=grid, coeffs=self._variable_net(),
+            initial=lambda e: scaled_mollifier(SPEC, e, grid), forcing=None, T=0.1, time_steps=20,
+        )
+        eg = EpsGrid([0.25, 0.177, 0.125, 0.088, 0.0625, 0.0442, 0.03125])
+        tests = [bump(grid, 0.0, 1.0), linear_bump(grid, 0.0, 1.5)]
+        rep = association_of_solution(problem, eg, tests, 0.1)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(regnets.lab, "_cpu_count", lambda: 1)
+            serial = association_of_solution(problem, eg, tests, 0.1)
+        assert rep == serial
+
+    def test_underresolved_finest_eps_raises_its_input_error(self, cpus):
+        # 2048 points on [-8, 8] resolve eps >= 0.0625: the certificate
+        # passes and the difference solve at eps = 0.05 raises
+        eg = EpsGrid([0.25, 0.177, 0.125, 0.088, 0.0625, 0.05])
+        with pytest.raises(InputError, match=r"exceeds 0.05/8"):
+            self._coherence(eg)
+
+    def test_failed_certificate_raises_before_any_difference(self, cpus):
+        # at 256 points no eps of the sweep is resolved either, yet the
+        # certificate, item 0 of the map, raises first
+        grid = SpatialGrid(1, 8.0, 256)
+        eg = EpsGrid([0.5, 0.42, 0.35, 0.3, 0.27, 0.25])
+        with pytest.raises(RegnetsError, match="reference self-convergence gap") as exc:
+            self._coherence(eg, grid, reference_tol=1e-12)
+        assert not isinstance(exc.value, InputError)
