@@ -45,9 +45,9 @@ from .lab import association_of_solution, coherence_experiment, mollify_gridfunc
 from .measures import (
     Density,
     Measure,
+    _lower_bound_fit,
     association_check,
     cutoff_plateau_check,
-    lower_bound_sweep,
     mollify_measure,
     sqrt_root,
 )
@@ -254,18 +254,21 @@ def _run_sqrt_measure(config, workers):
     measure = Measure(atoms, density, config["density_weight"], grid.dim)
 
     phi_items, sq_items = [], []
-    for eps in eps_grid:
-        h = mollify_measure(measure, spec, eps, grid)
-        phi = sqrt_root(h)
-        phi_items.append(phi)
-        sq_items.append(phi.abs2())
+
+    def h_net():  # the lower-bound fit reads each h_eps as it is built; no net of h is kept
+        for eps in eps_grid:
+            h = mollify_measure(measure, spec, eps, grid)
+            phi_items.append(sqrt_root(h))
+            sq_items.append(phi_items[-1].abs2())
+            yield h
+
+    K_radius = max(1.0, measure.support_radius())
+    sweep = _lower_bound_fit(h_net(), measure, spec, eps_grid, K_radius)
     sqrt_net = EpsNet(eps_grid, phi_items)
     squared_net = EpsNet(eps_grid, sq_items)
 
     tests = [bump(grid, 0.0, 1.0), linear_bump(grid, 0.0, 1.5)]
     assoc = association_check(squared_net, measure, tests)
-    K_radius = max(1.0, measure.support_radius())
-    sweep = lower_bound_sweep(measure, spec, eps_grid, grid, K_radius)
 
     final_gap = max(t["final_gap"] for t in assoc["tests"])
     checks = [

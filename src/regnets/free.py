@@ -20,6 +20,7 @@ reduced nodes with per-axis weights 1 at x = 0 and x = L and 2 inside.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -29,6 +30,7 @@ from .grid import (
     GridFunction,
     SpatialGrid,
     TestFunction,
+    _abs2,
     _check_same_grid,
     norm_l2,
 )
@@ -41,18 +43,34 @@ def free_evolve(u0: GridFunction, t: float) -> GridFunction:
 
     fftfreq makes xi_{M-k} exactly -xi_k, so the M/2 + 1 phases of
     k = 0 ... M/2 serve every axis: the upper half of the spectrum takes
-    the lower phases in mirror order.
+    the lower phases in mirror order. The transforms and the phases work in
+    one buffer, which becomes the result.
     """
-    F = np.fft.fftn(u0.values)
+    F = u0.values.astype(complex)  # fft(x) is bitwise fft(x + 0j)
+    np.fft.fftn(F, out=F)
     h = u0.grid.points_per_axis // 2 + 1
-    phase = np.exp(-1j * t * u0.grid.wavenumbers()[0][:h] ** 2)
+    phase = _phase(u0.grid, t)
     for axis in range(F.ndim):
         shape = (1,) * axis + (-1,) + (1,) * (F.ndim - axis - 1)
         for p, part in ((phase, slice(None, h)), (phase[h - 2 : 0 : -1], slice(h, None))):
             view = F[(slice(None),) * axis + (part,)]
             # phase first: with FMA, complex products depend on operand order
             np.multiply(p.reshape(shape), view, out=view)
-    return GridFunction(u0.grid, np.fft.ifftn(F))
+    return GridFunction._adopt(u0.grid, np.fft.ifftn(F, out=F))
+
+
+def _phase(grid: SpatialGrid, t: float) -> np.ndarray:
+    """exp(-i t xi_k^2) for k = 0 ... M/2, read-only and cached per (grid, t).
+    t = -0.0 gets its own entry: 0.0 == -0.0, but a complex-by-real product
+    that keeps signed zeros would give their phases zeros of opposite sign."""
+    return _phase_cached(grid, t, np.copysign(1.0, t))
+
+
+@lru_cache(maxsize=8)
+def _phase_cached(grid: SpatialGrid, t: float, sign: float) -> np.ndarray:
+    phase = np.exp(-1j * t * grid.wavenumbers()[0][: grid.points_per_axis // 2 + 1] ** 2)
+    phase.setflags(write=False)
+    return phase
 
 
 def sqrt_delta_data(spec: MollifierSpec, eps: float, grid: SpatialGrid) -> GridFunction:
@@ -60,7 +78,7 @@ def sqrt_delta_data(spec: MollifierSpec, eps: float, grid: SpatialGrid) -> GridF
 
     Sampled directly as c^(1/2) eps^(-n/2) (1 + |x/eps|^2)^(-m/4).
     """
-    return GridFunction(grid, _sample_scaled(spec, eps, grid, 0.5, (grid.axis_coords(),) * grid.dim))
+    return GridFunction._adopt(grid, _sample_scaled(spec, eps, grid, 0.5, (grid.axis_coords(),) * grid.dim))
 
 
 @dataclass(frozen=True)
@@ -73,7 +91,7 @@ class ProbabilityDensitySnapshot:
 
     @classmethod
     def from_state(cls, u: GridFunction, t: float, eps: float):
-        mass = float(u.grid.cell_volume * np.sum(np.abs(u.values) ** 2))
+        mass = float(u.grid.cell_volume * np.sum(_abs2(u.values)))
         return cls(t=t, eps=eps, mass=mass)
 
 

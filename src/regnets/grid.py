@@ -96,13 +96,26 @@ class GridFunction:
     """Function sampled on a SpatialGrid. Immutable.
 
     Real input is stored as float64 and complex input as complex128, in a
-    read-only copy of the caller's array.
+    read-only copy of the caller's array (the package's own results are
+    adopted without the copy, see _adopt).
     """
 
     __slots__ = ("grid", "values")
 
     def __init__(self, grid: SpatialGrid, values: np.ndarray):
-        values = np.array(values, dtype=float if np.isrealobj(values) else complex)
+        self._hold(grid, np.array(values, dtype=float if np.isrealobj(values) else complex))
+
+    @classmethod
+    def _adopt(cls, grid: SpatialGrid, values: np.ndarray) -> "GridFunction":
+        """A GridFunction whose values are values itself, made read-only: for a
+        writeable float64/complex128 array just computed and held by no one else."""
+        if values.dtype not in (np.float64, np.complex128) or not values.flags.writeable:
+            raise InputError("only a writeable float64 or complex128 array can be adopted")
+        u = cls.__new__(cls)
+        u._hold(grid, values)
+        return u
+
+    def _hold(self, grid: SpatialGrid, values: np.ndarray):
         if values.shape != grid.shape:
             raise InputError(f"values shape {values.shape} != grid shape {grid.shape}")
         _require_finite(values)
@@ -124,11 +137,11 @@ class GridFunction:
 
     def __add__(self, other):
         _check_same_grid(self.grid, other.grid)
-        return GridFunction(self.grid, self.values + other.values)
+        return GridFunction._adopt(self.grid, self.values + other.values)
 
     def __sub__(self, other):
         _check_same_grid(self.grid, other.grid)
-        return GridFunction(self.grid, self.values - other.values)
+        return GridFunction._adopt(self.grid, self.values - other.values)
 
     def __mul__(self, scalar):
         return GridFunction(self.grid, self.values * scalar)
@@ -136,7 +149,13 @@ class GridFunction:
     __rmul__ = __mul__
 
     def abs2(self) -> "GridFunction":
-        return GridFunction(self.grid, np.abs(self.values) ** 2)
+        return GridFunction._adopt(self.grid, _abs2(self.values))
+
+
+def _abs2(values: np.ndarray) -> np.ndarray:
+    """|values|^2 in the buffer of |values|: bitwise np.abs(values) ** 2."""
+    a = np.abs(values)
+    return np.square(a, out=a)
 
 
 def _require_finite(values: np.ndarray):
@@ -285,11 +304,12 @@ def norm_l2(u: GridFunction) -> float:
 
 
 def _l2_norm(grid: SpatialGrid, values: np.ndarray) -> float:
-    return float(np.sqrt(grid.cell_volume * np.sum(np.abs(values) ** 2)))
+    return float(np.sqrt(grid.cell_volume * np.sum(_abs2(values))))
 
 
 def norm_linf(u: GridFunction) -> float:
-    return float(np.max(np.abs(u.values)))
+    v = u.values  # |x| is exact for real x: its max needs no |x| array
+    return float(abs(max(v.max(), -v.min())) if np.isrealobj(v) else np.max(np.abs(v)))
 
 
 @lru_cache(maxsize=64)
@@ -343,13 +363,10 @@ def derivative(u: GridFunction, axis: int = 0, order: int = 1) -> GridFunction:
         mult[M // 2] = 0.0  # drop the unsigned Nyquist mode
     shape = [1] * g.dim
     shape[axis] = mult.size
-    if real:
-        F = np.fft.rfft(u.values, axis=axis)
-        out = np.fft.irfft(mult.reshape(shape) * F, n=M, axis=axis)
-    else:
-        F = np.fft.fft(u.values, axis=axis)
-        out = np.fft.ifft(mult.reshape(shape) * F, axis=axis)
-    return GridFunction(g, out)
+    F = (np.fft.rfft if real else np.fft.fft)(u.values, axis=axis)
+    np.multiply(mult.reshape(shape), F, out=F)  # multiplier first: operand order can change bits
+    out = np.fft.irfft(F, n=M, axis=axis) if real else np.fft.ifft(F, axis=axis, out=F)
+    return GridFunction._adopt(g, out)
 
 
 def pair(u: GridFunction, psi: TestFunction) -> complex:
@@ -363,9 +380,11 @@ def periodic_convolve(a: np.ndarray, b: np.ndarray, grid: SpatialGrid) -> np.nda
 
     Both factors are samples starting at x_0 = -L, so the FFT product picks
     up a shift of L = M/2 cells per axis, which the roll undoes. The result
-    is float64 when both factors are real and complex128 otherwise.
+    is float64 when both factors are real (the .real view of a complex
+    buffer) and complex128 otherwise.
     """
-    conv = np.fft.ifftn(np.fft.fftn(a) * np.fft.fftn(b))
+    A = np.fft.fftn(a)
+    conv = np.fft.ifftn(np.multiply(A, np.fft.fftn(b), out=A), out=A)
     shift = grid.points_per_axis // 2
     out = grid.cell_volume * np.roll(conv, shift, axis=tuple(range(grid.dim)))
     return out.real if np.isrealobj(a) and np.isrealobj(b) else out

@@ -186,7 +186,9 @@ def mollify_measure(
     x = grid.axis_coords()
     h = np.zeros(grid.shape)
     for loc, w in mu.atoms:
-        h += w * _sample_scaled(spec, eps, grid, 1.0, [x - li for li in loc])
+        atom = _sample_scaled(spec, eps, grid, 1.0, [x - li for li in loc])
+        atom *= w
+        h += atom
     if mu.density_weight > 0:
         dens = mu.density.evaluate(*grid.meshgrid())
         rho = _sample_scaled(spec, eps, grid, 1.0, (x,) * grid.dim)
@@ -195,7 +197,7 @@ def mollify_measure(
         raise RegnetsError(
             "mollified measure non-positive at a node (quadrature/underflow failure)"
         )
-    return GridFunction(grid, h)
+    return GridFunction._adopt(grid, h)
 
 
 def sqrt_root(h: GridFunction) -> GridFunction:
@@ -205,7 +207,7 @@ def sqrt_root(h: GridFunction) -> GridFunction:
     vals = h.values
     if vals.min() <= 0.0:
         raise InputError(f"input not strictly positive (min {vals.min()})")
-    return GridFunction(h.grid, np.sqrt(vals))
+    return GridFunction._adopt(h.grid, np.sqrt(vals))
 
 
 @dataclass(frozen=True)
@@ -241,7 +243,7 @@ class CutoffFamily:
         return out
 
     def chi_j(self, j: int, grid: SpatialGrid) -> GridFunction:
-        return GridFunction(grid, self.chi0_radial(grid.radius() / 2.0**j))
+        return GridFunction._adopt(grid, self.chi0_radial(grid.radius() / 2.0**j))
 
 
 def cutoff_sqrt(
@@ -257,7 +259,7 @@ def cutoff_sqrt(
     if grid.half_width < support:
         raise InputError(f"box half_width {grid.half_width} < cutoff support radius {support}")
     phi = sqrt_root(mollify_measure(mu, spec, eps, grid))
-    g = GridFunction(grid, chi.chi_j(j, grid).values * phi.values)
+    g = GridFunction._adopt(grid, chi.chi_j(j, grid).values * phi.values)
     return g, j
 
 
@@ -280,7 +282,11 @@ def lower_bound_check(
     pass flag asserts it. The eps^(m0-n) scaling of the infimum is certified
     by the slope of lower_bound_sweep, not here.
     """
-    r_A = mu.median_radius()
+    return _lower_bound(h, mu, spec, eps, K_radius, mu.median_radius())
+
+
+def _lower_bound(h, mu, spec, eps, K_radius, r_A) -> dict:
+    """lower_bound_check with the half-mass radius r_A = mu.median_radius() given."""
     inside = h.grid.radius() <= K_radius
     if not np.any(inside):
         raise InputError("no grid nodes inside the requested ball")
@@ -305,19 +311,22 @@ def lower_bound_sweep(
     Passes iff every infimum clears lower_bound_check's chain bound and the
     slope of log(inf) vs log(1/eps) matches -(m0 - n) within 0.15.
     """
-    infs, bounds_hold = [], True
-    for eps in eps_grid:
-        h = mollify_measure(mu, spec, eps, grid)
-        rep = lower_bound_check(h, mu, spec, eps, K_radius)
-        infs.append(rep["measured_inf"])
-        bounds_hold &= rep["passes"]
+    h_net = (mollify_measure(mu, spec, eps, grid) for eps in eps_grid)
+    return _lower_bound_fit(h_net, mu, spec, eps_grid, K_radius)
+
+
+def _lower_bound_fit(h_net, mu, spec, eps_grid, K_radius) -> dict:
+    """lower_bound_sweep on given h_eps, one per eps of eps_grid in its order."""
+    r_A = mu.median_radius()
+    reps = [_lower_bound(h, mu, spec, eps, K_radius, r_A) for eps, h in zip(eps_grid, h_net)]
+    infs = [rep["measured_inf"] for rep in reps]
     slope = -loglog_fit(np.asarray(eps_grid.values), np.asarray(infs))[0]  # exponent of eps
     target = spec.tail_exponent - spec.dim
     return {
         "inf_values": infs,
         "slope": slope,
         "target_exponent": target,
-        "passes": bounds_hold and abs(slope - target) <= 0.15,
+        "passes": all(rep["passes"] for rep in reps) and abs(slope - target) <= 0.15,
     }
 
 

@@ -72,11 +72,15 @@ class MollifierSpec:
         """rho_eps(x)**power = c^p (1 + |x/eps|^2)^(-m p / 2) / eps^(n p).
 
         coords may be open axes (np.ix_); they broadcast to the full grid
-        only in |x/eps|^2.
+        only in |x/eps|^2, whose buffer then takes every later step. A scalar
+        point gives a scalar.
         """
-        r2 = sum((np.asarray(c, dtype=float) / eps) ** 2 for c in coords)
-        c_p = self.normalization**power
-        return c_p * (1.0 + r2) ** (-self.m * power / 2.0) / eps ** (self.dim * power)
+        r2 = np.asarray(sum((np.asarray(c, dtype=float) / eps) ** 2 for c in coords))
+        r2 += 1.0
+        r2 **= -self.m * power / 2.0
+        r2 *= self.normalization**power
+        r2 /= eps ** (self.dim * power)
+        return r2 if r2.ndim else r2[()]
 
     def sqrt_l1_norm(self) -> float:
         """Integral of sqrt(rho) over R^n (finite iff the tail has m0 > 2n).
@@ -112,7 +116,7 @@ def _sample_scaled(
 
 def scaled_mollifier(spec: MollifierSpec, eps: float, grid: SpatialGrid) -> GridFunction:
     """Sample rho_eps = eps^(-n) rho(./eps); requires spacing <= eps/8."""
-    return GridFunction(grid, _sample_scaled(spec, eps, grid, 1.0, (grid.axis_coords(),) * grid.dim))
+    return GridFunction._adopt(grid, _sample_scaled(spec, eps, grid, 1.0, (grid.axis_coords(),) * grid.dim))
 
 
 def sampled_mass(u: GridFunction) -> float:

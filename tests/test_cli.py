@@ -372,6 +372,25 @@ class TestRun:
         assert f"workers must be a positive integer, got {workers}" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_sqrt_measure_mollifies_twice_per_eps(self, tmp_path, monkeypatch):
+        # once for the phi_eps net, which the lower-bound fit reads too, and
+        # once in the plateau check's own cutoff_sqrt
+        import regnets.cli
+        import regnets.measures
+
+        calls = []
+        real = regnets.measures.mollify_measure
+
+        def counted(*args):
+            calls.append(args[2])
+            return real(*args)
+
+        monkeypatch.setattr(regnets.cli, "mollify_measure", counted)
+        monkeypatch.setattr(regnets.measures, "mollify_measure", counted)
+        assert run(_write(tmp_path, PASSING["sqrt_measure"]), out_dir=tmp_path / "res") == 0
+        eps = [0.25, 0.17678, 0.125, 0.088388, 0.0625, 0.044194]
+        assert sorted(calls) == sorted(eps * 2)
+
     def test_sqrt_measure_without_atoms_or_density_exits_2(self, tmp_path, capsys):
         path = _write(tmp_path, SQRT_MEASURE.replace("atoms = 0:1\n", ""))
         out = tmp_path / "res"

@@ -108,6 +108,55 @@ class TestFreeEvolve:
         np.testing.assert_allclose(lhs.values, rhs.values, atol=1e-11)
 
 
+class TestPhaseCacheAndBuffers:
+    @staticmethod
+    def _uncached(u0, t):
+        # free_evolve with a fresh phase array and allocating transforms
+        F = np.fft.fftn(u0.values)
+        h = u0.grid.points_per_axis // 2 + 1
+        phase = np.exp(-1j * t * u0.grid.wavenumbers()[0][:h] ** 2)
+        for axis in range(F.ndim):
+            shape = (1,) * axis + (-1,) + (1,) * (F.ndim - axis - 1)
+            for p, part in ((phase, slice(None, h)), (phase[h - 2 : 0 : -1], slice(h, None))):
+                view = F[(slice(None),) * axis + (part,)]
+                np.multiply(p.reshape(shape), view, out=view)
+        return np.fft.ifftn(F)
+
+    def test_one_read_only_phase_per_grid_and_time(self):
+        grid = SpatialGrid(1, 4.0, 64)
+        a = regnets.free._phase(grid, 0.5)
+        assert regnets.free._phase(SpatialGrid(1, 4.0, 64), 0.5) is a
+        assert not a.flags.writeable and a.shape == (33,)
+        assert regnets.free._phase(grid, 0.25) is not a
+
+    @pytest.mark.parametrize("dim, points", [(1, 256), (2, 64)])
+    @pytest.mark.parametrize("complex_data", [False, True])
+    def test_cached_and_uncached_evolutions_agree_bit_for_bit(self, dim, points, complex_data):
+        grid = SpatialGrid(dim, 4.0, points)
+        rng = np.random.default_rng(points)
+        values = rng.standard_normal(grid.shape)
+        if complex_data:
+            values = values + 1j * rng.standard_normal(grid.shape)
+        u0 = GridFunction(grid, values)
+        regnets.free._phase_cached.cache_clear()
+        # 0.0 fills the entry that -0.0 must not reuse; the second 0.3 hits the cache
+        for t in (0.0, -0.0, 0.3, 0.3, -0.3, 1e-300, -1e-300):
+            out = free_evolve(u0, t).values
+            assert out.tobytes() == self._uncached(u0, t).tobytes(), t
+            assert not np.shares_memory(out, u0.values)
+        assert regnets.free._phase_cached.cache_info().hits == 1
+
+    @pytest.mark.parametrize("complex_data", [False, True])
+    def test_snapshot_mass_is_bitwise_its_allocating_form(self, complex_data):
+        grid = SpatialGrid(2, 4.0, 64)
+        rng = np.random.default_rng(11)
+        values = rng.standard_normal(grid.shape)
+        if complex_data:
+            values = values + 1j * rng.standard_normal(grid.shape)
+        snap = ProbabilityDensitySnapshot.from_state(GridFunction(grid, values), 0.5, 0.25)
+        assert snap.mass == float(grid.cell_volume * np.sum(np.abs(values) ** 2))
+
+
 class TestSqrtDeltaData:
     def test_unit_l2_mass(self):
         # ||sqrt(rho_eps)||_L2^2 = integral rho_eps = 1

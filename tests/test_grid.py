@@ -1,5 +1,7 @@
 """Grids, grid functions, spectral norms, derivatives and pairings."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -144,6 +146,100 @@ class TestPeriodicConvolve:
         # the real result is the real part of the complex computation, bit for bit
         reference = periodic_convolve(a.astype(complex), b, g)
         assert np.array_equal(out, reference if out_dtype == np.complex128 else reference.real)
+
+
+# ---------------------------------------------------------------------------
+# buffers: results are built in the buffer they allocate and adopted; each
+# in-place site is bitwise its allocating form, written out here
+
+
+class TestBuffers:
+    @pytest.mark.parametrize("dtype", [np.float64, np.complex128])
+    def test_constructor_still_copies(self, dtype):
+        g = SpatialGrid(1, 1.0, 16)
+        a = np.arange(16).astype(dtype)
+        u = GridFunction(g, a)
+        a[0] = 7
+        assert u.values[0] == 0 and a.flags.writeable
+
+    def test_adopt_takes_the_array_itself_read_only(self):
+        g = SpatialGrid(1, 1.0, 16)
+        a = np.arange(16.0)
+        u = GridFunction._adopt(g, a)
+        assert u.values is a and not a.flags.writeable
+
+    def test_adopt_rejects_read_only_wrong_shape_and_nan_with_the_constructors_messages(self):
+        g = SpatialGrid(1, 1.0, 16)
+        cached = g.wavenumbers()[0]
+        with pytest.raises(InputError, match="only a writeable float64 or complex128 array"):
+            GridFunction._adopt(g, cached)
+        with pytest.raises(InputError, match="only a writeable float64 or complex128 array"):
+            GridFunction._adopt(g, np.arange(16))
+        nan = np.zeros(16)
+        nan[3] = np.nan
+        for bad in (np.zeros(8), nan):
+            with pytest.raises(InputError) as copied:
+                GridFunction(g, bad)
+            with pytest.raises(InputError) as adopted:
+                GridFunction._adopt(g, bad.copy())
+            assert str(adopted.value) == str(copied.value)
+
+    @pytest.mark.parametrize("dim, axis", [(1, 0), (2, 0), (2, 1)])
+    @pytest.mark.parametrize("order", [1, 2])
+    @pytest.mark.parametrize("real", [True, False])
+    def test_derivative_is_bitwise_its_allocating_form(self, dim, axis, order, real):
+        g = SpatialGrid(dim, 2.0, 64)
+        rng = np.random.default_rng(10 * dim + axis)
+        values = rng.standard_normal(g.shape)
+        if not real:
+            values = values + 1j * rng.standard_normal(g.shape)
+        M = g.points_per_axis
+        mult = (1j * g.wavenumbers()[axis][: M // 2 + 1 if real else M]) ** order
+        if order == 1:
+            mult[M // 2] = 0.0
+        shape = [1] * dim
+        shape[axis] = mult.size
+        if real:
+            ref = np.fft.irfft(mult.reshape(shape) * np.fft.rfft(values, axis=axis), n=M, axis=axis)
+        else:
+            ref = np.fft.ifft(mult.reshape(shape) * np.fft.fft(values, axis=axis), axis=axis)
+        out = derivative(GridFunction(g, values), axis=axis, order=order).values
+        assert out.dtype == ref.dtype and out.tobytes() == ref.tobytes()
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    @pytest.mark.parametrize("b_complex", [False, True])
+    def test_periodic_convolve_is_bitwise_its_allocating_form(self, dim, b_complex):
+        g = SpatialGrid(dim, 4.0, 64)
+        rng = np.random.default_rng(dim)
+        a = rng.standard_normal(g.shape)
+        b = rng.standard_normal(g.shape) + (1j * rng.standard_normal(g.shape) if b_complex else 0.0)
+        conv = np.fft.ifftn(np.fft.fftn(a) * np.fft.fftn(b))
+        ref = g.cell_volume * np.roll(conv, 32, axis=tuple(range(dim)))
+        ref = ref if b_complex else ref.real
+        assert periodic_convolve(a, b, g).tobytes() == ref.tobytes()
+
+    @pytest.mark.parametrize("complex_data", [False, True])
+    def test_l2_norm_and_abs2_are_bitwise_their_allocating_forms(self, complex_data):
+        g = SpatialGrid(2, 3.0, 64)
+        rng = np.random.default_rng(3)
+        values = rng.standard_normal(g.shape)
+        if complex_data:
+            values = values + 1j * rng.standard_normal(g.shape)
+        u = GridFunction(g, values)
+        assert norm_l2(u) == float(np.sqrt(g.cell_volume * np.sum(np.abs(values) ** 2)))
+        assert u.abs2().values.tobytes() == (np.abs(values) ** 2).tobytes()
+
+    @pytest.mark.parametrize(
+        "values",
+        [[-3.0, 1.0, 2.5, 0, 0, 0, 0, 0], [0.5, -0.25, 4.0, 0, 0, 0, 0, 0],
+         -np.arange(1.0, 9.0), np.zeros(8), np.full(8, -0.0)],
+        ids=["negative_largest", "positive_largest", "all_negative", "zeros", "negative_zeros"],
+    )
+    def test_real_sup_norm_is_the_max_modulus_with_a_positive_zero(self, values):
+        v = np.asarray(values, dtype=float)
+        sup = norm_linf(GridFunction(SpatialGrid(1, 1.0, 8), v))
+        ref = float(np.max(np.abs(v)))
+        assert sup == ref and math.copysign(1.0, sup) == math.copysign(1.0, ref) == 1.0
 
 
 # ---------------------------------------------------------------------------

@@ -418,6 +418,22 @@ class TestReports:
         assert abs(sweep["slope"] - sweep["target_exponent"]) <= 0.15
         assert not sweep["passes"]
 
+    def test_sweep_finds_the_half_mass_radius_once_and_fits_given_nets_alike(self, monkeypatch):
+        import regnets.measures
+
+        mu = Measure(atoms=((-0.4, 0.3), (0.6, 0.7)), dim=1)
+        grid, eg = SpatialGrid(1, 4.0, 8192), EpsGrid.dyadic(2, 7)
+        calls = []
+        real = Measure.median_radius
+        monkeypatch.setattr(Measure, "median_radius", lambda self: calls.append(1) or real(self))
+        sweep = lower_bound_sweep(mu, SPEC_1D, eg, grid, K_radius=1.0)
+        assert len(calls) == 1
+        h_net = [mollify_measure(mu, SPEC_1D, eps, grid) for eps in eg]
+        assert regnets.measures._lower_bound_fit(h_net, mu, SPEC_1D, eg, 1.0) == sweep
+        assert sweep["inf_values"] == [
+            lower_bound_check(h, mu, SPEC_1D, eps, 1.0)["measured_inf"] for eps, h in zip(eg, h_net)
+        ]
+
     def test_association_of_squared_root(self):
         grid = SpatialGrid(1, 8.0, 32768)
         eg = EpsGrid.dyadic(2, 7)

@@ -102,6 +102,19 @@ class TestMollifierSpec:
         expected = spec.evaluate_scaled(1.0, x / eps) / eps
         np.testing.assert_allclose(rho.values.real, expected, rtol=1e-12)
 
+    @pytest.mark.parametrize("dim, exponent, power", [(1, 3.0, 1.0), (1, 6.0, 0.5), (2, 8.0, 0.5), (2, 5.0, 1.0)])
+    def test_evaluate_scaled_is_bitwise_its_allocating_form(self, dim, exponent, power):
+        # every step after |x/eps|^2 works in its buffer
+        spec = MollifierSpec(dim=dim, exponent=exponent)
+        grid, eps = SpatialGrid(dim, 4.0, 256), 0.3
+        c_p = spec.normalization**power
+        for coords in (np.ix_(*(grid.axis_coords(),) * dim), (0.7,) * dim):
+            r2 = sum((np.asarray(c, dtype=float) / eps) ** 2 for c in coords)
+            ref = c_p * (1.0 + r2) ** (-spec.m * power / 2.0) / eps ** (dim * power)
+            out = spec.evaluate_scaled(eps, *coords, power=power)
+            assert np.ndim(out) == np.ndim(ref) and np.asarray(out).tobytes() == np.asarray(ref).tobytes()
+        assert isinstance(spec.evaluate_scaled(eps, *(0.7,) * dim, power=power), np.float64)
+
     # sqrt_delta_data samples through the same checks as scaled_mollifier;
     # exponent 4 keeps sqrt(rho) integrable so that only those checks fire
     def test_resolution_guard(self):
